@@ -19,7 +19,7 @@ use gridflow_harness::workload::{
     dinner_recovery_workload, dinner_workload, DurationProfile, GraphShape, Workload, WorkloadGen,
 };
 use gridflow_harness::{FaultPlan, MultiCaseScenario};
-use gridflow_store::{merged_jsonl, FileStore, MemStore, Store};
+use gridflow_store::{merged_jsonl, FileStore, MemStore, SnapshotRecord, Store, StoreError};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -246,6 +246,114 @@ fn file_backed_crash_survives_a_reopen_from_disk() {
             "kill@{kill}: reopened recovery diverged"
         );
     }
+}
+
+/// A `FileStore` directory written by an older build: a 4-case dinner
+/// fleet run under the since-removed two-phase sharded core (8 shards),
+/// killed at tick 3 with its latest snapshot at tick 2.  That snapshot
+/// records `"core":{"Sharded":{"shards":8}}` and stamps each live case
+/// with its shard.
+const LEGACY_SHARDED_STORE: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/../../tests/fixtures/sharded_v2_store"
+);
+
+/// The legacy store's fleet: what its crashed run and any recovery of
+/// it must agree on.
+fn legacy_fleet() -> Fleet {
+    Fleet::dinner(7)
+}
+
+/// The legacy store opened from a private copy, so recovery's appends
+/// never touch the committed fixture.
+fn legacy_store_copy(dir: &TempDir) -> Arc<Mutex<dyn Store>> {
+    for entry in std::fs::read_dir(LEGACY_SHARDED_STORE).expect("fixture dir") {
+        let entry = entry.expect("fixture entry");
+        std::fs::copy(entry.path(), dir.path().join(entry.file_name())).expect("copy fixture");
+    }
+    let (file, report) = FileStore::open(dir.path(), 1024).expect("open legacy store");
+    assert!(!report.truncated, "the legacy fixture must open clean");
+    assert!(report.snapshots > 0, "the legacy fixture holds snapshots");
+    Arc::new(Mutex::new(file))
+}
+
+/// Snapshots written under the removed sharded core keep restoring:
+/// recovering the legacy store re-executes the suffix on today's core
+/// and lays down exactly the log an uninterrupted run produces.
+#[test]
+fn legacy_sharded_snapshots_recover_byte_identically() {
+    let fleet = legacy_fleet();
+    let (jsonl, baseline) = fleet.baseline();
+    let dir = TempDir::new("legacy");
+    let store = legacy_store_copy(&dir);
+    let recovered = fleet
+        .scenario()
+        .store(store.clone(), 2)
+        .recover()
+        .expect("legacy snapshot recovers");
+    assert!(!recovered.engine.killed);
+    assert_eq!(recovered.engine.cases, baseline.cases);
+    assert_eq!(
+        merged_jsonl(&store.lock().unwrap().replay_from(0).unwrap()),
+        jsonl,
+        "legacy store + regenerated suffix diverged from the uninterrupted run"
+    );
+}
+
+/// A legacy payload whose shard stamps disagree with its recorded shard
+/// count is refused as corrupt, and a payload from a newer engine
+/// snapshot schema is still refused.
+#[test]
+fn tampered_or_future_legacy_snapshots_are_refused() {
+    let dir = TempDir::new("legacy-tamper");
+    let legacy = legacy_store_copy(&dir);
+    let (events, snap) = {
+        let guard = legacy.lock().unwrap();
+        (
+            guard.replay_from(0).unwrap(),
+            guard.latest_snapshot().unwrap().expect("legacy snapshot"),
+        )
+    };
+    let payload = String::from_utf8(snap.state.clone()).expect("JSON payload");
+    let refuse = |payload: String, names: &str, what: &str| {
+        let mut mem = MemStore::new();
+        mem.append(&events).unwrap();
+        mem.snapshot(SnapshotRecord::new(
+            snap.next_tick,
+            snap.journal_seq,
+            snap.clock_ticks,
+            snap.clock_s,
+            payload.into_bytes(),
+        ))
+        .unwrap();
+        let store: Arc<Mutex<dyn Store>> = Arc::new(Mutex::new(mem));
+        let err = legacy_fleet()
+            .scenario()
+            .store(store, 2)
+            .recover()
+            .expect_err(what);
+        assert!(
+            matches!(&err, StoreError::Corrupt(msg) if msg.contains(names)),
+            "{what}: {err}"
+        );
+    };
+
+    assert!(payload.contains("\"shard\":1"), "fixture stamps case 1");
+    refuse(
+        payload.replacen("\"shard\":1", "\"shard\":5", 1),
+        "shard",
+        "a shard stamp off its stripe must be refused",
+    );
+    assert_eq!(
+        payload.matches("\"version\":2,").count(),
+        1,
+        "fixture is version 2"
+    );
+    refuse(
+        payload.replacen("\"version\":2,", "\"version\":3,", 1),
+        "version 3",
+        "a future engine snapshot version must be refused",
+    );
 }
 
 /// Admission policies carry history (fair-share counts) that snapshots

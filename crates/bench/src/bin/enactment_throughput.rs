@@ -1,19 +1,13 @@
 //! **Engine throughput — concurrent multi-case enactment.**
 //!
 //! Drive fleets of N ∈ {1, 8, 64, 512, 2048, 100000} dinner cases
-//! through the `gridflow-engine` scheduler over one shared world, at
-//! worker counts 1 and 8, and report cases/sec (wall clock) plus the
+//! through the `gridflow-engine` scheduler over one shared world, and
+//! report cases/sec (wall clock) plus the
 //! p50/p99 virtual-tick makespan per case and the fleet's total
 //! blocked ticks.  The 100k tier runs with per-case checkpointing off
 //! (its cost is pure scheduling, not snapshot serialization) and is
 //! sized out of CI via `--max-cases 2048`.  Results land in
 //! `BENCH_enactment.json` in the working directory.
-//!
-//! A **sharded scaling sweep** drives the N=2048 fleet over the
-//! replicated dinner topology ([`dinner_workload_scaled`]) under
-//! [`CoreSpec::Sharded`] at shards ∈ {1, 8, 32} × workers ∈ {1, 8},
-//! with a wide admission window so the parallel prepare phase sees
-//! hundreds of ready fibers per tick.  Cells land under `"sharded"`.
 //!
 //! A second sweep drives the **workload × policy matrix**: the dinner
 //! fixture, two generated taxonomy shapes (wide fan-out, choice-dense),
@@ -36,21 +30,15 @@
 //!
 //! `--guard` reads the committed `BENCH_enactment.json` *before*
 //! overwriting it and exits non-zero if the headline point (N=512,
-//! workers=1, best of three measurements) regressed more than 20% in
-//! cases/sec against it — the CI
-//! seam that keeps the event core's throughput claim honest.  When the
-//! run is large enough to measure the full sharded sweep, `--guard`
-//! additionally enforces the **scaling gate**: at N=2048 with
-//! shards ≥ 8, the 8-worker cell must beat the 1-worker cell by ≥2.5×
-//! in cases/sec.  The gate only fires on hardware that can express the
-//! speedup — `std::thread::available_parallelism()` of at least 8 —
-//! and reports itself as skipped (never passed) below that.
+//! best of three measurements) regressed more than 20% in cases/sec
+//! against it — the CI seam that keeps the event core's throughput
+//! claim honest.
 
 use gridflow_bench::{banner, render_table};
-use gridflow_engine::{CaseHints, CaseScheduler, CaseSpec, CoreSpec, EngineConfig, PolicySpec};
+use gridflow_engine::{CaseHints, CaseScheduler, CaseSpec, EngineConfig, PolicySpec};
 use gridflow_harness::workload::{
-    dinner_case_for_fleet, dinner_workload, dinner_workload_scaled, virus_reconstruction_workload,
-    GraphShape, Workload, WorkloadGen,
+    dinner_case_for_fleet, dinner_workload, virus_reconstruction_workload, GraphShape, Workload,
+    WorkloadGen,
 };
 use gridflow_harness::{FaultPlan, MultiCaseScenario};
 use gridflow_store::{FileStore, MemStore, Store};
@@ -59,26 +47,13 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 const FLEET_SIZES: [usize; 6] = [1, 8, 64, 512, 2048, 100_000];
-const WORKER_COUNTS: [usize; 2] = [1, 8];
 /// Above this fleet size the throughput sweep turns per-case
 /// checkpointing off: the 100k tier measures pure scheduling, and at
 /// one snapshot per productive step it would mostly measure
 /// serialization.
 const CHECKPOINT_OFF_ABOVE: usize = 2048;
-/// The sharded scaling sweep's shape: N=2048 cases over the
-/// 64-replica dinner topology (256 containers), shards × workers,
-/// with a wide admission window so prepare sees a deep ready set.
-const SHARD_FLEET: usize = 2048;
-const SHARD_REPLICAS: usize = 64;
-const SHARD_IN_FLIGHT: usize = 512;
-const SHARD_COUNTS: [usize; 3] = [1, 8, 32];
-/// The scaling gate: at N=2048 with this many shards, workers=8 must
-/// beat workers=1 by at least this factor.
-const SCALE_GATE_SHARDS: usize = 8;
-const SCALE_GATE_MIN: f64 = 2.5;
 /// The regression gate's reference point and tolerance.
 const GUARD_CASES: u64 = 512;
-const GUARD_WORKERS: u64 = 1;
 const GUARD_FLOOR: f64 = 0.8;
 /// Guard comparisons use the best of this many measurements of the
 /// guard cell — shared CI runners jitter wall-clock throughput far
@@ -136,10 +111,9 @@ fn matrix_workloads(fleet: usize) -> Vec<(&'static str, Workload)> {
 }
 
 /// One throughput measurement of a headline-sweep cell: `fleet` dinner
-/// cases through a raw `CaseScheduler` at `workers` workers.
-fn measure_cell(wl: &Workload, plan: &FaultPlan, fleet: usize, workers: usize) -> f64 {
+/// cases through a raw `CaseScheduler`.
+fn measure_cell(wl: &Workload, plan: &FaultPlan, fleet: usize) -> f64 {
     let mut scheduler = CaseScheduler::new(EngineConfig {
-        workers,
         max_in_flight: 64,
         ..EngineConfig::default()
     });
@@ -170,15 +144,16 @@ fn percentile_ticks(sorted: &[u64], pct: f64) -> u64 {
 }
 
 /// The committed baseline cases/sec for the guard point, if the report
-/// on disk has one.  Legacy reports carried no per-result worker count;
-/// they were all measured at workers=1.
+/// on disk has one.  Reports written while the engine still had a
+/// `workers` knob carry one row per worker count; the workers=1 row is
+/// the guard point.
 fn baseline_cases_per_sec(path: &str) -> Option<f64> {
     let text = std::fs::read_to_string(path).ok()?;
     let report: serde_json::Value = serde_json::from_str(&text).ok()?;
     report.get("results")?.as_array()?.iter().find_map(|r| {
         let cases = r.get("cases")?.as_u64()?;
         let workers = r.get("workers").and_then(|w| w.as_u64()).unwrap_or(1);
-        (cases == GUARD_CASES && workers == GUARD_WORKERS)
+        (cases == GUARD_CASES && workers == 1)
             .then(|| r.get("cases_per_sec")?.as_f64())
             .flatten()
     })
@@ -211,76 +186,71 @@ fn main() {
     let mut results = Vec::new();
     let mut guard_measured: Option<f64> = None;
     for &fleet in FLEET_SIZES.iter().filter(|&&n| n <= max_cases) {
-        for &workers in &WORKER_COUNTS {
-            let mut scheduler = CaseScheduler::new(EngineConfig {
-                workers,
-                max_in_flight: 64,
-                ..EngineConfig::default()
-            });
-            // The shared world's fresh-id counter is fleet-global, so
-            // the goal range must be sized to the fleet.
-            let case = std::sync::Arc::new(dinner_case_for_fleet(fleet));
-            let mut config = wl.config.clone();
-            if fleet > CHECKPOINT_OFF_ABOVE {
-                config.checkpoint_every = None;
-            }
-            for i in 0..fleet {
-                scheduler.submit(CaseSpec {
-                    label: format!("dinner-{i}"),
-                    graph: wl.graph.clone(),
-                    case: case.clone(),
-                    config: config.clone(),
-                    hints: Default::default(),
-                });
-            }
-            let mut world = wl.fresh_world(&plan, 0);
-            let start = Instant::now();
-            let outcome = scheduler.run(&mut world);
-            let wall = start.elapsed();
-
-            // Percentiles over cases that actually ran; a refusal has
-            // no makespan and must not be counted as an instant one.
-            let mut makespans: Vec<u64> = outcome
-                .cases
-                .iter()
-                .filter_map(|c| c.admitted_makespan_ticks())
-                .collect();
-            makespans.sort_unstable();
-            let p50 = percentile_ticks(&makespans, 50.0);
-            let p99 = percentile_ticks(&makespans, 99.0);
-            let blocked: u64 = outcome.cases.iter().map(|c| c.blocked_ticks).sum();
-            let secs = wall.as_secs_f64().max(1e-9);
-            let cases_per_sec = fleet as f64 / secs;
-            assert!(
-                outcome.all_succeeded(),
-                "fleet of {fleet} (workers={workers}) did not fully succeed"
-            );
-            if fleet as u64 == GUARD_CASES && workers as u64 == GUARD_WORKERS {
-                guard_measured = Some(cases_per_sec);
-            }
-
-            rows.push(vec![
-                fleet.to_string(),
-                workers.to_string(),
-                outcome.ticks.to_string(),
-                format!("{:.1}", wall.as_secs_f64() * 1e3),
-                format!("{cases_per_sec:.0}"),
-                p50.to_string(),
-                p99.to_string(),
-                blocked.to_string(),
-            ]);
-            results.push(json!({
-                "cases": fleet,
-                "workers": workers,
-                "ticks": outcome.ticks,
-                "wall_ms": wall.as_secs_f64() * 1e3,
-                "cases_per_sec": cases_per_sec,
-                "p50_makespan_ticks": p50,
-                "p99_makespan_ticks": p99,
-                "blocked_ticks_total": blocked,
-                "all_succeeded": true,
-            }));
+        let mut scheduler = CaseScheduler::new(EngineConfig {
+            max_in_flight: 64,
+            ..EngineConfig::default()
+        });
+        // The shared world's fresh-id counter is fleet-global, so
+        // the goal range must be sized to the fleet.
+        let case = std::sync::Arc::new(dinner_case_for_fleet(fleet));
+        let mut config = wl.config.clone();
+        if fleet > CHECKPOINT_OFF_ABOVE {
+            config.checkpoint_every = None;
         }
+        for i in 0..fleet {
+            scheduler.submit(CaseSpec {
+                label: format!("dinner-{i}"),
+                graph: wl.graph.clone(),
+                case: case.clone(),
+                config: config.clone(),
+                hints: Default::default(),
+            });
+        }
+        let mut world = wl.fresh_world(&plan, 0);
+        let start = Instant::now();
+        let outcome = scheduler.run(&mut world);
+        let wall = start.elapsed();
+
+        // Percentiles over cases that actually ran; a refusal has
+        // no makespan and must not be counted as an instant one.
+        let mut makespans: Vec<u64> = outcome
+            .cases
+            .iter()
+            .filter_map(|c| c.admitted_makespan_ticks())
+            .collect();
+        makespans.sort_unstable();
+        let p50 = percentile_ticks(&makespans, 50.0);
+        let p99 = percentile_ticks(&makespans, 99.0);
+        let blocked: u64 = outcome.cases.iter().map(|c| c.blocked_ticks).sum();
+        let secs = wall.as_secs_f64().max(1e-9);
+        let cases_per_sec = fleet as f64 / secs;
+        assert!(
+            outcome.all_succeeded(),
+            "fleet of {fleet} did not fully succeed"
+        );
+        if fleet as u64 == GUARD_CASES {
+            guard_measured = Some(cases_per_sec);
+        }
+
+        rows.push(vec![
+            fleet.to_string(),
+            outcome.ticks.to_string(),
+            format!("{:.1}", wall.as_secs_f64() * 1e3),
+            format!("{cases_per_sec:.0}"),
+            p50.to_string(),
+            p99.to_string(),
+            blocked.to_string(),
+        ]);
+        results.push(json!({
+            "cases": fleet,
+            "ticks": outcome.ticks,
+            "wall_ms": wall.as_secs_f64() * 1e3,
+            "cases_per_sec": cases_per_sec,
+            "p50_makespan_ticks": p50,
+            "p99_makespan_ticks": p99,
+            "blocked_ticks_total": blocked,
+            "all_succeeded": true,
+        }));
     }
 
     println!(
@@ -288,7 +258,6 @@ fn main() {
         render_table(
             &[
                 "cases",
-                "workers",
                 "ticks",
                 "wall ms",
                 "cases/s",
@@ -297,66 +266,6 @@ fn main() {
                 "blocked ticks",
             ],
             &rows,
-        )
-    );
-
-    banner("sharded scaling: shards x workers over the replicated topology");
-    let shard_fleet = SHARD_FLEET.min(max_cases.max(1));
-    let mut shard_wl = dinner_workload_scaled(SHARD_REPLICAS, shard_fleet);
-    // The sharded cells measure scheduling throughput, not snapshot
-    // serialization: checkpointing off, like the 100k tier.
-    shard_wl.config.checkpoint_every = None;
-    let mut sharded_rows = Vec::new();
-    let mut sharded = Vec::new();
-    let mut scale_gate: [Option<f64>; 2] = [None, None];
-    for &shards in &SHARD_COUNTS {
-        for &workers in &WORKER_COUNTS {
-            let start = Instant::now();
-            let outcome = MultiCaseScenario::new(&plan, &shard_wl, shard_fleet)
-                .max_in_flight(SHARD_IN_FLIGHT)
-                .core(CoreSpec::Sharded { shards })
-                .workers(workers)
-                .run()
-                .engine;
-            let wall = start.elapsed();
-            assert!(
-                outcome.all_succeeded(),
-                "sharded cell (shards={shards}, workers={workers}) did not fully succeed"
-            );
-            let cases_per_sec = shard_fleet as f64 / wall.as_secs_f64().max(1e-9);
-            if shards == SCALE_GATE_SHARDS && shard_fleet == SHARD_FLEET {
-                match workers {
-                    1 => scale_gate[0] = Some(cases_per_sec),
-                    8 => scale_gate[1] = Some(cases_per_sec),
-                    _ => {}
-                }
-            }
-            sharded_rows.push(vec![
-                shards.to_string(),
-                workers.to_string(),
-                shard_fleet.to_string(),
-                outcome.ticks.to_string(),
-                format!("{:.1}", wall.as_secs_f64() * 1e3),
-                format!("{cases_per_sec:.0}"),
-            ]);
-            sharded.push(json!({
-                "shards": shards,
-                "workers": workers,
-                "cases": shard_fleet,
-                "replicas": SHARD_REPLICAS,
-                "max_in_flight": SHARD_IN_FLIGHT,
-                "ticks": outcome.ticks,
-                "wall_ms": wall.as_secs_f64() * 1e3,
-                "cases_per_sec": cases_per_sec,
-                "all_succeeded": true,
-            }));
-        }
-    }
-    println!(
-        "{}",
-        render_table(
-            &["shards", "workers", "cases", "ticks", "wall ms", "cases/s"],
-            &sharded_rows,
         )
     );
 
@@ -401,7 +310,6 @@ fn main() {
                 "workload": name,
                 "policy": policy.name(),
                 "cases": matrix_cases,
-                "workers": 1,
                 "ticks": outcome.ticks,
                 "wall_ms": wall.as_secs_f64() * 1e3,
                 "cases_per_sec": cases_per_sec,
@@ -499,7 +407,6 @@ fn main() {
         "workload": wl.name,
         "engine": {"max_in_flight": 64, "enforce_reservations": true},
         "results": results,
-        "sharded": sharded,
         "matrix": matrix,
         "store": store_cells,
     });
@@ -512,24 +419,19 @@ fn main() {
 
     if guard {
         let Some(mut measured) = guard_measured else {
-            eprintln!("guard: no N={GUARD_CASES} workers={GUARD_WORKERS} point was measured (--max-cases too low?)");
+            eprintln!("guard: no N={GUARD_CASES} point was measured (--max-cases too low?)");
             std::process::exit(1);
         };
         // Best-of-N: re-measure the guard cell and keep the fastest
         // observation (see GUARD_MEASUREMENTS).
         for _ in 1..GUARD_MEASUREMENTS {
-            measured = measured.max(measure_cell(
-                &wl,
-                &plan,
-                GUARD_CASES as usize,
-                GUARD_WORKERS as usize,
-            ));
+            measured = measured.max(measure_cell(&wl, &plan, GUARD_CASES as usize));
         }
         match baseline {
             Some(base) => {
                 let floor = base * GUARD_FLOOR;
                 println!(
-                    "guard: N={GUARD_CASES} workers={GUARD_WORKERS}: {measured:.0} cases/s \
+                    "guard: N={GUARD_CASES}: {measured:.0} cases/s \
                      vs committed baseline {base:.0} (floor {floor:.0})"
                 );
                 if measured < floor {
@@ -538,34 +440,6 @@ fn main() {
                 }
             }
             None => println!("guard: no committed baseline for the guard point; recording only"),
-        }
-
-        // The scaling gate only fires when the sharded sweep ran at
-        // its full fleet size (a `--max-cases` below N=2048 shrinks
-        // the cells and the parallel speedup with them) *and* the
-        // hardware can physically express an 8-worker speedup.
-        let cpus = std::thread::available_parallelism().map_or(1, usize::from);
-        if cpus < 8 {
-            println!(
-                "guard: sharded scaling gate skipped ({cpus} CPU(s) available; \
-                 an 8-worker speedup needs at least 8)"
-            );
-        } else if let [Some(w1), Some(w8)] = scale_gate {
-            let ratio = w8 / w1.max(1e-9);
-            println!(
-                "guard: sharded N={SHARD_FLEET} shards={SCALE_GATE_SHARDS}: \
-                 workers=8 at {w8:.0} cases/s vs workers=1 at {w1:.0} \
-                 ({ratio:.2}x, gate {SCALE_GATE_MIN}x)"
-            );
-            if ratio < SCALE_GATE_MIN {
-                eprintln!("guard: sharded 8-worker scaling fell below {SCALE_GATE_MIN}x — failing");
-                std::process::exit(1);
-            }
-        } else {
-            println!(
-                "guard: sharded scaling gate skipped (needs the full N={SHARD_FLEET} sweep; \
-                 raise --max-cases)"
-            );
         }
     }
 }

@@ -15,16 +15,13 @@
 //! admission control re-uses the matchmaking service to refuse cases no
 //! live container can serve.
 //!
-//! Determinism is the design constraint, not an afterthought: world
-//! state always commits in a canonical rotated order that is a pure
-//! function of the tick.  Under [`CoreSpec::Sharded`] each tick runs in
-//! two phases — a parallel *prepare* over shard-partitioned fibers
-//! against a read-only world snapshot, then a sequential *commit* in
-//! canonical order that re-validates each speculation — so the
-//! [`EngineConfig::workers`] knob changes wall-clock time only.  A
-//! given seed therefore produces a byte-identical merged JSONL trace at
-//! any `(shards, workers)` combination and on every core — the
-//! invariant the engine conformance suite pins.
+//! Determinism is the design constraint, not an afterthought: one
+//! thread steps every live case in a canonical rotated order that is a
+//! pure function of the tick, so a given seed produces a byte-identical
+//! merged JSONL trace on every run.  [`CoreSpec`] selects between the
+//! event-driven core (the default) and the scan core kept as its
+//! differential oracle; both emit the same bytes — the invariant the
+//! engine conformance and differential suites pin.
 
 #![warn(missing_docs)]
 

@@ -6,10 +6,9 @@ use crate::snapshot::{
     AdmissionRecord, BlueprintPool, EngineSnapshot, FinishedImage, SlotImage, WaitingImage,
 };
 use gridflow_process::{ActivityKind, CaseDescription, ProcessGraph};
-use gridflow_services::matchmaking::{matchmake, MatchRequest, ShardedMatchIndex};
+use gridflow_services::matchmaking::{matchmake, MatchRequest};
 use gridflow_services::{
     CaseFiber, EnactmentConfig, EnactmentReport, FiberStatus, GridWorld, PlanCacheHandle,
-    PreparedStep,
 };
 use gridflow_store::{SnapshotRecord, Store, StoreError, StoreResult};
 use gridflow_telemetry::{ScopedSink, TraceEvent, TraceHandle, TraceLog, TraceSink};
@@ -55,27 +54,19 @@ impl PartialEq for StoreBinding {
     }
 }
 
-/// Which execution core drives a run — the first-class core selection
-/// that replaced the old `scan_core: bool` flag.
+/// Which execution core drives a run.
 ///
-/// Every core emits byte-identical merged traces for a given `(seed,
+/// Both cores emit byte-identical merged traces for a given `(seed,
 /// workload, case count)`; the differential equivalence suite pins the
-/// three-way agreement down.  They differ only in *how* they get
-/// there:
+/// agreement down.  They differ only in *how* they get there:
 ///
 /// - [`CoreSpec::Event`] (the default) classifies fibers into a ready
 ///   queue and capacity wait-sets so blocked fibers re-check
 ///   contention cheaply.
 /// - [`CoreSpec::Scan`] re-derives every fiber's situation from
-///   scratch each tick — the frozen differential oracle.
-/// - [`CoreSpec::Sharded`] runs the event core's tick as two phases:
-///   a parallel *prepare* phase where each shard speculatively works
-///   out its fibers' next moves against a shard-partitioned match
-///   index on real `std::thread::scope` workers, then a sequential
-///   *commit* phase that resolves cross-shard reservations and
-///   splices the shards' buffered emissions into the merged trace in
-///   canonical order.  `shards: 1` degenerates to the event core plus
-///   an inline prepare pass.
+///   scratch each tick — the frozen differential oracle.  It has no
+///   store or kill support: a run that sets [`EngineConfig::store`] or
+///   [`EngineConfig::kill_at`] runs the event core instead.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub enum CoreSpec {
     /// The event-driven core — wait-sets, dispatch caching, match
@@ -85,44 +76,11 @@ pub enum CoreSpec {
     /// The legacy every-tick-rescan loop, kept verbatim as the
     /// differential oracle.
     Scan,
-    /// The two-phase sharded core: parallel per-shard prepare, ordered
-    /// cross-shard commit.
-    Sharded {
-        /// How many shards containers and cases are partitioned into.
-        /// Values are clamped to at least 1; shard count never changes
-        /// the merged trace, only how much of the tick runs in
-        /// parallel.
-        shards: usize,
-    },
-}
-
-impl CoreSpec {
-    /// The shard count this core partitions the world into (1 for the
-    /// unsharded cores).
-    pub fn shards(&self) -> usize {
-        match self {
-            CoreSpec::Sharded { shards } => (*shards).max(1),
-            _ => 1,
-        }
-    }
-
-    /// Does this core run the two-phase prepare/commit tick?
-    pub fn is_sharded(&self) -> bool {
-        matches!(self, CoreSpec::Sharded { .. })
-    }
 }
 
 /// Scheduler knobs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineConfig {
-    /// How many `std::thread::scope` workers the sharded core's prepare
-    /// phase fans shards across (clamped to the shard count).  The
-    /// unsharded cores are single-threaded and ignore it.
-    ///
-    /// Commit stays sequential in canonical order under every setting,
-    /// so this knob **cannot** change the merged trace: a seed yields
-    /// byte-identical JSONL for any worker count.
-    pub workers: usize,
     /// Cases enacting at once; the rest wait in the admission queue.
     pub max_in_flight: usize,
     /// Turn on the world's tick-scoped reservation protocol for the
@@ -133,8 +91,8 @@ pub struct EngineConfig {
     /// Abort every still-running case once this many ticks have
     /// elapsed — the engine's defense against a live-locked schedule.
     pub max_ticks: u64,
-    /// Which execution core drives the run.  See [`CoreSpec`]; every
-    /// core emits byte-identical merged traces.
+    /// Which execution core drives the run.  See [`CoreSpec`]; both
+    /// cores emit byte-identical merged traces.
     pub core: CoreSpec,
     /// Which admission policy orders the waiting queue.  The default,
     /// [`PolicySpec::Fifo`], is byte-identical to the pre-policy
@@ -145,25 +103,25 @@ pub struct EngineConfig {
     /// engine exactly as before — no I/O, no snapshots.  `Some` makes
     /// the event core flush the journal's new records into the store at
     /// every tick boundary and capture an [`EngineSnapshot`] every
-    /// [`StoreBinding::snapshot_every`] ticks.  The legacy scan core
-    /// ignores the binding entirely (it is a frozen differential
-    /// oracle, not a feature surface).
+    /// [`StoreBinding::snapshot_every`] ticks.  The scan oracle has no
+    /// store support, so a store-bound run always runs the event core.
     pub store: Option<StoreBinding>,
     /// Crash-injection knob: stop the event core dead at the top of
     /// this tick, *before* the tick's `TickStarted` is emitted and
     /// before any of its events reach the store.  The durable log is
     /// left holding exactly the ticks `< kill_at` — the state a real
     /// process death at that boundary would leave.  `None` (the
-    /// default) never kills.  Ignored by the scan core.
+    /// default) never kills.  Like [`EngineConfig::store`], setting it
+    /// selects the event core.
     pub kill_at: Option<u64>,
     /// Fleet-shared, content-addressed plan cache.  `None` (the
     /// default) plans per-case exactly as before.  `Some` installs the
     /// handle into every fiber's planning service (fresh spawns and
     /// recovery rebuilds alike), so identical-key (re)plans across the
-    /// fleet run GP once and reuse the byte-identical result.  Replans
-    /// execute in the sequential commit path under every core, so the
+    /// fleet run GP once and reuse the byte-identical result.  Fibers
+    /// step sequentially in canonical order under both cores, so the
     /// hit/miss pattern — and with it the merged trace — stays
-    /// deterministic at any worker or shard count.
+    /// deterministic.
     ///
     /// Recovery note: re-execution regenerates the crashed run's
     /// events, so a store-verified recovery must be given the same (or
@@ -175,7 +133,6 @@ pub struct EngineConfig {
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
-            workers: 1,
             max_in_flight: 16,
             enforce_reservations: true,
             max_ticks: 100_000,
@@ -391,19 +348,22 @@ impl CaseScheduler {
     /// the harness uses to inject mid-schedule faults such as node
     /// loss.
     ///
-    /// Dispatches on [`EngineConfig::core`]: the event-driven core
-    /// (optionally sharded into a two-phase parallel tick) or the
-    /// legacy scan core.  Every core emits byte-identical merged traces
+    /// Dispatches on [`EngineConfig::core`]: the event-driven core or
+    /// the legacy scan core.  Both emit byte-identical merged traces
     /// for every `(seed, workload, case count)` — the differential
-    /// equivalence suite pins that down.
+    /// equivalence suite pins that down.  The scan oracle has no store
+    /// or kill support, so a run with [`EngineConfig::store`] or
+    /// [`EngineConfig::kill_at`] set runs the event core whatever the
+    /// configured core, exactly as [`CaseScheduler::recover`] does.
     pub fn run_with(
         &mut self,
         world: &mut GridWorld,
         on_tick: impl FnMut(u64, &mut GridWorld),
     ) -> EngineOutcome {
+        let durable = self.config.store.is_some() || self.config.kill_at.is_some();
         match self.config.core {
-            CoreSpec::Scan => self.run_scan(world, on_tick),
-            CoreSpec::Event | CoreSpec::Sharded { .. } => self.run_event(world, on_tick),
+            CoreSpec::Scan if !durable => self.run_scan(world, on_tick),
+            _ => self.run_event(world, on_tick),
         }
     }
 
@@ -490,22 +450,15 @@ impl CaseScheduler {
 
             // Step every live case once, in canonical order rotated by
             // the tick so first pick of the tick's capacity circulates.
-            // `workers` only chunks this already-ordered list — the
-            // chunking is order-preserving, so the merged trace cannot
-            // depend on it.
             let n = live.len();
             let rotation = (tick as usize) % n.max(1);
-            let order: Vec<usize> = (0..n).map(|i| (i + rotation) % n).collect();
-            let chunk = n.div_ceil(self.config.workers.max(1));
             let mut done: Vec<usize> = Vec::new();
-            for worker_share in order.chunks(chunk.max(1)) {
-                for &slot_idx in worker_share {
-                    let slot = &mut live[slot_idx];
-                    match slot.fiber.step(world) {
-                        FiberStatus::Progressed => {}
-                        FiberStatus::Blocked { .. } => slot.blocked_ticks += 1,
-                        FiberStatus::Finished => done.push(slot_idx),
-                    }
+            for slot_idx in (0..n).map(|i| (i + rotation) % n) {
+                let slot = &mut live[slot_idx];
+                match slot.fiber.step(world) {
+                    FiberStatus::Progressed => {}
+                    FiberStatus::Blocked { .. } => slot.blocked_ticks += 1,
+                    FiberStatus::Finished => done.push(slot_idx),
                 }
             }
 
@@ -637,11 +590,12 @@ impl CaseScheduler {
     ///
     /// # Panics
     ///
-    /// If [`EngineConfig::store`] is `None`.  Recovery runs the
-    /// configured [`CoreSpec`] unless it is [`CoreSpec::Scan`] (the
-    /// scan oracle has no store support), in which case the event core
-    /// runs; traces are core-invariant, so a run snapshotted under one
-    /// core recovers byte-identically under another.
+    /// If [`EngineConfig::store`] is `None`.  Recovery always runs the
+    /// event core (the scan oracle has no store support); traces are
+    /// core-invariant, so the recovered suffix is byte-identical either
+    /// way.  Snapshots captured by older builds under the since-removed
+    /// sharded core restore too; their shard stamps must still match
+    /// their recorded shard count.
     pub fn recover(
         &mut self,
         world: &mut GridWorld,
@@ -667,19 +621,7 @@ impl CaseScheduler {
                     binding.journal.next_seq()
                 )));
             }
-            let specs = std::mem::take(&mut self.pending);
-            let last_generation = world.generation();
-            let st = EventState {
-                waiting: specs.into_iter().enumerate().collect(),
-                live: Vec::new(),
-                finished: Vec::new(),
-                tick: 0,
-                policy: self.config.policy.build(),
-                admissions: Vec::new(),
-                freed: Vec::new(),
-                last_generation,
-            };
-            return Ok(self.run_event_loop(world, on_tick, st));
+            return Ok(self.run_event(world, on_tick));
         };
         if binding.journal.next_seq() != record.journal_seq {
             return Err(StoreError::Corrupt(format!(
@@ -693,8 +635,8 @@ impl CaseScheduler {
         if let Err(index) = image.verify_shard_assignments() {
             return Err(StoreError::Corrupt(format!(
                 "live case {index} carries a shard assignment inconsistent \
-                 with the snapshot's core {:?}",
-                image.core
+                 with the snapshot's {} recorded shard(s)",
+                image.legacy_shards.unwrap_or(1)
             )));
         }
         if image.next_tick != record.next_tick {
@@ -805,10 +747,6 @@ impl CaseScheduler {
         let binding = self.config.store.clone();
         let mut flush_cursor = binding.as_ref().map_or(0, |b| b.journal.next_seq());
         let mut killed = false;
-        // The sharded core's engine-owned match index, rebuilt lazily
-        // whenever the world's matchmaking generation moves (container
-        // up/down).  The unsharded cores never build it.
-        let mut shard_index: Option<ShardedMatchIndex> = None;
 
         loop {
             // Simulated process death: stop before this tick emits
@@ -912,97 +850,17 @@ impl CaseScheduler {
             // Step the ready queue in the canonical order rotated by the
             // tick over the *full* live list, so rotation fairness (and
             // hence the trace) is independent of who happens to be
-            // parked.  Worker chunking is order-preserving, as in the
-            // scan core.
+            // parked.
             let n = st.live.len();
             let rotation = (st.tick as usize) % n.max(1);
-            let order: Vec<usize> = (0..n)
-                .map(|i| (i + rotation) % n)
-                .filter(|&i| matches!(st.live[i].wait, WaitState::Ready))
-                .collect();
-
-            // Sharded two-phase tick, phase 1: prepare every ready
-            // fiber against the frozen world, shards fanned across
-            // `std::thread::scope` workers.  Prepare is semantically
-            // invisible — `step` *is* prepare + commit — so neither the
-            // shard count, the worker count, nor the inline fallback
-            // below can change a byte of the merged trace.
-            let mut prepared: Vec<Option<PreparedStep>> = Vec::new();
-            if self.config.core.is_sharded() && !order.is_empty() {
-                let shards = self.config.core.shards();
-                if shard_index.as_ref().map(ShardedMatchIndex::generation)
-                    != Some(world.generation())
-                {
-                    shard_index = Some(ShardedMatchIndex::build(world, shards));
-                }
-                let index = shard_index.as_ref();
-                prepared = (0..n).map(|_| None).collect();
-                // Partition the ready fibers by shard — submission
-                // index mod shard count, the same striping the match
-                // index and snapshot images use — then fold shards onto
-                // at most `workers` threads.  Fibers are disjoint
-                // across shards, so each thread gets exclusive `&mut`
-                // access to its own; the world is shared read-only.
-                let mut parts: Vec<Vec<(usize, &mut CaseFiber)>> =
-                    (0..shards).map(|_| Vec::new()).collect();
-                for (slot_idx, entry) in st.live.iter_mut().enumerate() {
-                    if matches!(entry.wait, WaitState::Ready) {
-                        parts[entry.slot.index % shards].push((slot_idx, &mut entry.slot.fiber));
-                    }
-                }
-                let busy = parts.iter().filter(|p| !p.is_empty()).count();
-                // Below this many ready fibers the ~10-20µs per-thread
-                // spawn cost outweighs the parallelism; prepare inline.
-                const SPAWN_THRESHOLD: usize = 8;
-                let threads = if order.len() < SPAWN_THRESHOLD {
-                    1
-                } else {
-                    self.config.workers.max(1).min(busy.max(1))
-                };
-                let mut groups: Vec<Vec<(usize, &mut CaseFiber)>> =
-                    (0..threads).map(|_| Vec::new()).collect();
-                for (shard, part) in parts.into_iter().enumerate() {
-                    groups[shard % threads].extend(part);
-                }
-                let world_ref: &GridWorld = world;
-                let prep = |group: Vec<(usize, &mut CaseFiber)>| {
-                    group
-                        .into_iter()
-                        .map(|(slot_idx, fiber)| (slot_idx, fiber.prepare(world_ref, index)))
-                        .collect::<Vec<_>>()
-                };
-                let results: Vec<Vec<(usize, PreparedStep)>> = if threads <= 1 {
-                    groups.into_iter().map(prep).collect()
-                } else {
-                    std::thread::scope(|scope| {
-                        let handles: Vec<_> = groups
-                            .into_iter()
-                            .map(|group| scope.spawn(|| prep(group)))
-                            .collect();
-                        handles
-                            .into_iter()
-                            .map(|h| h.join().expect("prepare worker panicked"))
-                            .collect()
-                    })
-                };
-                for (slot_idx, step) in results.into_iter().flatten() {
-                    prepared[slot_idx] = Some(step);
-                }
-            }
-
-            // Phase 2 (and the unsharded cores' whole step loop):
-            // commit in the canonical rotated order, sequentially, so
-            // the merged trace is independent of shard and worker
-            // counts.
             let mut done: Vec<usize> = Vec::new();
-            for &slot_idx in &order {
+            for slot_idx in (0..n).map(|i| (i + rotation) % n) {
                 let entry = &mut st.live[slot_idx];
-                let status = match prepared.get_mut(slot_idx).and_then(Option::take) {
-                    Some(step) => entry.slot.fiber.step_prepared(world, step),
-                    None => entry.slot.fiber.step(world),
-                };
-                match status {
-                    FiberStatus::Progressed => entry.wait = WaitState::Ready,
+                if !matches!(entry.wait, WaitState::Ready) {
+                    continue;
+                }
+                match entry.slot.fiber.step(world) {
+                    FiberStatus::Progressed => {}
                     FiberStatus::Blocked { .. } => {
                         entry.slot.blocked_ticks += 1;
                         entry.wait = WaitState::Capacity {
@@ -1105,7 +963,7 @@ impl CaseScheduler {
             if let Some(b) = &binding {
                 if b.snapshot_every > 0 && st.tick.is_multiple_of(b.snapshot_every) {
                     let (clock_ticks, clock_s) = b.journal.clock_now();
-                    let image = Self::capture_snapshot(self.config.core, &st, world);
+                    let image = Self::capture_snapshot(&st, world);
                     let record = SnapshotRecord::new(
                         st.tick,
                         flush_cursor,
@@ -1162,11 +1020,8 @@ impl CaseScheduler {
 
     /// Freeze the loop state into its serializable image.  Waiting
     /// specs are interned through a [`BlueprintPool`] so the shared
-    /// workload is stored once, not once per waiting case.  Under a
-    /// sharded core each live slot records its shard assignment
-    /// (`index mod shards`) so recovery can prove the assignment
-    /// round-tripped.
-    fn capture_snapshot(core: CoreSpec, st: &EventState, world: &GridWorld) -> EngineSnapshot {
+    /// workload is stored once, not once per waiting case.
+    fn capture_snapshot(st: &EventState, world: &GridWorld) -> EngineSnapshot {
         let mut pool = BlueprintPool::default();
         let waiting = st
             .waiting
@@ -1189,13 +1044,13 @@ impl CaseScheduler {
                     WaitState::Ready => None,
                     WaitState::Capacity { blockers } => Some(blockers.clone()),
                 },
-                shard: core.is_sharded().then(|| entry.slot.index % core.shards()),
+                shard: None,
                 fiber: pool.slim(entry.slot.fiber.image()),
             })
             .collect();
         EngineSnapshot {
             version: crate::snapshot::ENGINE_SNAPSHOT_VERSION,
-            core,
+            legacy_shards: None,
             next_tick: st.tick,
             blueprints: pool.into_entries(),
             waiting,

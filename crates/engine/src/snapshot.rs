@@ -11,7 +11,7 @@
 //! [`SnapshotRecord`]: gridflow_store::SnapshotRecord
 
 use crate::policy::CaseHints;
-use crate::scheduler::{CaseOutcome, CaseSpec, CoreSpec};
+use crate::scheduler::{CaseOutcome, CaseSpec};
 use gridflow_process::{AtnSnapshot, CaseDescription, DataState, ProcessGraph};
 use gridflow_recovery::RecoveryState;
 use gridflow_services::{EnactmentConfig, EnactmentReport, FiberImage, PendingImage, WorldImage};
@@ -198,11 +198,10 @@ pub struct SlotImage {
     /// always-wake wait).
     #[serde(skip_serializing_if = "Option::is_none")]
     pub blockers: Option<Vec<String>>,
-    /// The shard this fiber belonged to when the snapshot was captured
-    /// under [`CoreSpec::Sharded`] (`submission index mod shards`);
-    /// `None` under the unsharded cores and in pre-version-2 payloads.
-    /// Recovery cross-checks it against the snapshot's own recorded
-    /// core, proving shard assignments round-trip through the store.
+    /// Legacy only: the shard stamp (`submission index mod shards`)
+    /// that payloads captured under the since-removed sharded core
+    /// carry.  This build never writes one; recovery still checks any
+    /// it reads against [`EngineSnapshot::legacy_shards`].
     #[serde(skip_serializing_if = "Option::is_none")]
     pub shard: Option<usize>,
     /// The fiber's mid-enactment image, blueprint bulk interned.
@@ -233,10 +232,12 @@ pub struct AdmissionRecord {
 
 /// Engine-snapshot schema version written by this build.
 ///
-/// Version 1 payloads (pre-`CoreSpec`) carry neither a `version` nor a
-/// `core` field; deserialization defaults them to `1` and
-/// [`CoreSpec::Event`], so old checkpoints keep restoring.  Payloads
-/// from a *newer* schema than this build understands are refused.
+/// Version 1 payloads carry no `version` field; deserialization
+/// defaults it to `1`, so old checkpoints keep restoring.  Version 2
+/// payloads written by older builds also carry the capturing core in a
+/// `core` field, which this build reads only for the legacy shard-stamp
+/// check and no longer writes.  Payloads from a *newer* schema than
+/// this build understands are refused.
 pub const ENGINE_SNAPSHOT_VERSION: u32 = 2;
 
 /// The event core's complete loop state at a tick boundary.
@@ -244,11 +245,10 @@ pub const ENGINE_SNAPSHOT_VERSION: u32 = 2;
 pub struct EngineSnapshot {
     /// Snapshot schema version (see [`ENGINE_SNAPSHOT_VERSION`]).
     pub version: u32,
-    /// The core that captured the snapshot.  Informational plus a
-    /// round-trip check: under [`CoreSpec::Sharded`] each live slot's
-    /// recorded [`SlotImage::shard`] must equal `index mod shards`.
-    /// Traces are core-invariant, so recovery may run a different core.
-    pub core: CoreSpec,
+    /// Legacy only: the shard count recorded by a payload captured
+    /// under the since-removed sharded core (`"core":{"Sharded":
+    /// {"shards":n}}`).  `None` for every payload this build writes.
+    pub legacy_shards: Option<usize>,
     /// First tick the restored loop will execute.
     pub next_tick: u64,
     /// The distinct blueprints the waiting queue references.
@@ -271,15 +271,14 @@ pub struct EngineSnapshot {
     pub world: WorldImage,
 }
 
-// Hand-written serde: version 1 payloads predate the `version` and
-// `core` fields, so deserialization must default them instead of
-// erroring on the missing keys, and must refuse payloads newer than
-// this build's schema.
+// Hand-written serde: version 1 payloads predate the `version` field,
+// so deserialization must default it instead of erroring on the missing
+// key, must read a legacy `core` field for its shard count, and must
+// refuse payloads newer than this build's schema.
 impl Serialize for EngineSnapshot {
     fn to_json_value(&self) -> serde::Value {
         let mut m = serde::Map::new();
         m.insert("version".to_string(), self.version.to_json_value());
-        m.insert("core".to_string(), self.core.to_json_value());
         m.insert("next_tick".to_string(), self.next_tick.to_json_value());
         m.insert("blueprints".to_string(), self.blueprints.to_json_value());
         m.insert("waiting".to_string(), self.waiting.to_json_value());
@@ -314,14 +313,22 @@ impl Deserialize for EngineSnapshot {
                  build's {ENGINE_SNAPSHOT_VERSION}"
             )));
         }
-        let core = match obj.get("core") {
-            Some(v) => CoreSpec::from_json_value(v)
-                .map_err(|e| serde::Error::custom(format!("field `core`: {e}")))?,
-            None => CoreSpec::Event,
+        let legacy_shards = match obj.get("core").and_then(|core| core.get("Sharded")) {
+            Some(sharded) => Some(
+                serde::__field::<usize>(
+                    sharded.as_object().ok_or_else(|| {
+                        serde::Error::custom("field `core`: expected a `Sharded` object")
+                    })?,
+                    "shards",
+                    "Sharded",
+                )?
+                .max(1),
+            ),
+            None => None,
         };
         Ok(EngineSnapshot {
             version,
-            core,
+            legacy_shards,
             next_tick: serde::__field(obj, "next_tick", "EngineSnapshot")?,
             blueprints: serde::__field(obj, "blueprints", "EngineSnapshot")?,
             waiting: serde::__field(obj, "waiting", "EngineSnapshot")?,
@@ -344,20 +351,20 @@ impl EngineSnapshot {
     }
 
     /// Deserialize a snapshot record's payload.  Version 1 payloads
-    /// (no `version`/`core` fields) deserialize with the historical
-    /// defaults; payloads newer than [`ENGINE_SNAPSHOT_VERSION`] are
-    /// refused.
+    /// (no `version` field) deserialize with the historical default;
+    /// payloads newer than [`ENGINE_SNAPSHOT_VERSION`] are refused.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, String> {
         let text = std::str::from_utf8(bytes).map_err(|e| e.to_string())?;
         serde_json::from_str(text).map_err(|e| e.to_string())
     }
 
-    /// Shard-assignment round-trip check: under a sharded recorded
-    /// core, every live slot's `shard` must equal `index mod shards`
-    /// (pre-version-2 slots with no recorded shard are exempt).
-    /// Returns the offending slot's submission index on mismatch.
+    /// Legacy shard-stamp check: every live slot's recorded `shard`
+    /// must equal `index mod shards` under the payload's recorded shard
+    /// count (1 when it records none).  Slots without a stamp — every
+    /// slot this build writes — are exempt.  Returns the offending
+    /// slot's submission index on mismatch.
     pub fn verify_shard_assignments(&self) -> Result<(), usize> {
-        let shards = self.core.shards();
+        let shards = self.legacy_shards.unwrap_or(1);
         for slot in &self.live {
             if let Some(shard) = slot.shard {
                 if shard != slot.index % shards {

@@ -26,9 +26,7 @@
 //! * [`market`] — the spot market: offers, load-dependent pricing,
 //!   advance reservations (optionally at prohibitive cost, as §1 warns);
 //! * [`sim`] — a small discrete-event engine driving all of the above;
-//! * [`topology`] — seeded generators for heterogeneous grid topologies;
-//! * [`shard`] — deterministic shard partitioning of a topology's
-//!   containers, the ownership map behind the engine's sharded core.
+//! * [`topology`] — seeded generators for heterogeneous grid topologies.
 
 #![warn(missing_docs)]
 
@@ -38,7 +36,6 @@ pub mod failure;
 pub mod hardware;
 pub mod market;
 pub mod resource;
-pub mod shard;
 pub mod sim;
 pub mod topology;
 pub mod transform;
@@ -50,7 +47,6 @@ pub use failure::FailureModel;
 pub use hardware::HardwareSpec;
 pub use market::{Offer, SpotMarket};
 pub use resource::{Resource, ResourceKind};
-pub use shard::ShardMap;
 pub use sim::{Event, SimEngine, SimTime};
 pub use topology::GridTopology;
 pub use transform::{Transform, TransformPlan};

@@ -62,7 +62,7 @@ pub mod transport;
 pub mod workload;
 
 pub use clock::VirtualClock;
-pub use multi::{EngineSpec, MultiCaseScenario};
+pub use multi::MultiCaseScenario;
 pub use plan::{
     FaultAction, FaultEvent, FaultPlan, FaultSchedule, NodeLoss, PartitionSpec, Slowdown,
 };

@@ -7,7 +7,7 @@
 //! execution count, Bernoulli activity failures from the world seed)
 //! and the scheduler fixes *when* each case may act, so the merged
 //! trace of the whole fleet is a pure function of `(plan, workload,
-//! case count)` — and provably independent of the worker count.
+//! case count)`.
 
 use crate::clock::VirtualClock;
 use crate::plan::FaultPlan;
@@ -21,124 +21,6 @@ use gridflow_services::{GridWorld, PlanCacheHandle};
 use gridflow_store::{Store, StoreResult};
 use gridflow_telemetry::{TeeSink, TraceEvent, TraceHandle, TraceLog, TraceSink};
 use std::sync::{Arc, Mutex};
-
-/// Every engine-side knob of a multi-case run, folded into one value.
-///
-/// [`MultiCaseScenario`] grew its knobs one PR at a time — workers,
-/// admission cap, core, policy, store binding, kill tick, transport —
-/// each as its own builder method.  `EngineSpec` is the consolidated
-/// form: build one spec, apply it with [`MultiCaseScenario::spec`],
-/// and reuse it across scenarios (fleet benches, differential sweeps,
-/// crash/recover pairs) instead of repeating builder chains.  The
-/// per-knob builder methods remain as sugar for one-off tweaks;
-/// `tests/deprecated_shims.rs` pins the two surfaces equivalent.
-#[derive(Clone)]
-pub struct EngineSpec {
-    /// Prepare-phase worker threads for [`CoreSpec::Sharded`]
-    /// (clamped to the shard count; the unsharded cores ignore it).
-    /// Can never change the merged trace — only wall-clock time.
-    pub workers: usize,
-    /// Cases enacting at once; the rest wait in the admission queue.
-    pub max_in_flight: usize,
-    /// Which execution core drives the run ([`CoreSpec::Event`],
-    /// [`CoreSpec::Scan`], or [`CoreSpec::Sharded`]); all cores emit
-    /// byte-identical merged traces.
-    pub core: CoreSpec,
-    /// Admission policy ordering the waiting queue.
-    pub policy: PolicySpec,
-    /// Durable store and snapshot cadence (`0` = events only).
-    /// `Some` implies tracing — the store's flush source is the run's
-    /// trace log.
-    pub store: Option<(Arc<Mutex<dyn Store>>, u64)>,
-    /// Simulated process death at the top of this tick.
-    pub kill_at: Option<u64>,
-    /// Delivery substrate for the merged trace stream.
-    pub transport: TransportSpec,
-    /// Fleet-shared, content-addressed plan cache with single-flight
-    /// replanning (`None` = every fiber plans independently, the legacy
-    /// behaviour).  A strict performance knob: cache hits return
-    /// byte-identical plans, so only `plan.cache_*` trace events and
-    /// wall time change.
-    pub plan_cache: Option<PlanCacheHandle>,
-}
-
-impl Default for EngineSpec {
-    fn default() -> Self {
-        let config = EngineConfig::default();
-        EngineSpec {
-            workers: config.workers,
-            max_in_flight: config.max_in_flight,
-            core: config.core,
-            policy: config.policy,
-            store: None,
-            kill_at: None,
-            transport: TransportSpec::default(),
-            plan_cache: None,
-        }
-    }
-}
-
-impl std::fmt::Debug for EngineSpec {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EngineSpec")
-            .field("workers", &self.workers)
-            .field("max_in_flight", &self.max_in_flight)
-            .field("core", &self.core)
-            .field("policy", &self.policy)
-            .field("kill_at", &self.kill_at)
-            .finish_non_exhaustive()
-    }
-}
-
-impl EngineSpec {
-    /// Set the prepare-phase worker count.
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.workers = workers;
-        self
-    }
-
-    /// Cap concurrently-enacting cases.
-    pub fn max_in_flight(mut self, cap: usize) -> Self {
-        self.max_in_flight = cap;
-        self
-    }
-
-    /// Select the execution core.
-    pub fn core(mut self, core: CoreSpec) -> Self {
-        self.core = core;
-        self
-    }
-
-    /// Select the admission policy.
-    pub fn policy(mut self, policy: PolicySpec) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Bind a durable store with the given snapshot cadence.
-    pub fn store(mut self, store: Arc<Mutex<dyn Store>>, snapshot_every: u64) -> Self {
-        self.store = Some((store, snapshot_every));
-        self
-    }
-
-    /// Kill the run at the top of `tick`.
-    pub fn kill_at(mut self, tick: u64) -> Self {
-        self.kill_at = Some(tick);
-        self
-    }
-
-    /// Select the delivery substrate.
-    pub fn transport(mut self, transport: TransportSpec) -> Self {
-        self.transport = transport;
-        self
-    }
-
-    /// Share `cache` across the fleet's replans.
-    pub fn plan_cache(mut self, cache: PlanCacheHandle) -> Self {
-        self.plan_cache = Some(cache);
-        self
-    }
-}
 
 /// The record of one multi-case run.
 #[derive(Debug, Clone)]
@@ -168,6 +50,10 @@ impl MultiCaseOutcome {
 /// Case `i` is labelled `<workload name>-<i>`; labels are the
 /// scheduler's canonical order, its reservation-hold owners, and the
 /// per-case trace scopes.
+///
+/// Every engine-side knob has exactly one builder method here.  A
+/// configured scenario is `Clone`, so one value can be reused across
+/// runs (fleet benches, differential sweeps, crash/recover pairs).
 #[derive(Clone)]
 pub struct MultiCaseScenario<'a> {
     plan: &'a FaultPlan,
@@ -177,7 +63,6 @@ pub struct MultiCaseScenario<'a> {
     traced: bool,
     hints_fn: Option<fn(usize) -> CaseHints>,
     store: Option<(Arc<Mutex<dyn Store>>, u64)>,
-    kill_at: Option<u64>,
     transport: TransportSpec,
 }
 
@@ -187,7 +72,6 @@ impl std::fmt::Debug for MultiCaseScenario<'_> {
             .field("workload", &self.workload.name)
             .field("cases", &self.cases)
             .field("config", &self.config)
-            .field("kill_at", &self.kill_at)
             .finish_non_exhaustive()
     }
 }
@@ -204,36 +88,8 @@ impl<'a> MultiCaseScenario<'a> {
             traced: false,
             hints_fn: None,
             store: None,
-            kill_at: None,
             transport: TransportSpec::default(),
         }
-    }
-
-    /// Apply every engine-side knob at once from an [`EngineSpec`],
-    /// replacing whatever the individual builder methods set so far
-    /// (including resetting knobs the spec leaves at their defaults).
-    /// A spec with a store implies tracing, exactly as
-    /// [`store`](MultiCaseScenario::store) does.
-    pub fn spec(mut self, spec: EngineSpec) -> Self {
-        self.config.workers = spec.workers;
-        self.config.max_in_flight = spec.max_in_flight;
-        self.config.core = spec.core;
-        self.config.policy = spec.policy;
-        if spec.store.is_some() {
-            self.traced = true;
-        }
-        self.store = spec.store;
-        self.kill_at = spec.kill_at;
-        self.transport = spec.transport;
-        self.config.plan_cache = spec.plan_cache;
-        self
-    }
-
-    /// Chunk each tick's step list across `workers` (cannot change the
-    /// merged trace — that invariance is the point).
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.config.workers = workers;
-        self
     }
 
     /// Cap concurrently-enacting cases; the rest queue for admission.
@@ -242,25 +98,12 @@ impl<'a> MultiCaseScenario<'a> {
         self
     }
 
-    /// Replace the whole engine configuration.
-    pub fn engine_config(mut self, config: EngineConfig) -> Self {
-        self.config = config;
-        self
-    }
-
-    /// Select the scheduler core: the event core (default), the legacy
-    /// scan core (the differential suite's oracle), or the sharded
-    /// two-phase core.  All three produce byte-identical merged traces
-    /// for a given scenario.
+    /// Select the scheduler core: the event core (default) or the
+    /// legacy scan core (the differential suite's oracle).  Both
+    /// produce byte-identical merged traces for a given scenario.
     pub fn core(mut self, core: CoreSpec) -> Self {
         self.config.core = core;
         self
-    }
-
-    /// Run on the legacy scan core instead of the event core.
-    #[deprecated(since = "0.6.0", note = "use `.core(CoreSpec::Scan)`")]
-    pub fn scan_core(self) -> Self {
-        self.core(CoreSpec::Scan)
     }
 
     /// Admit cases under `policy` instead of the FIFO default.
@@ -300,7 +143,7 @@ impl<'a> MultiCaseScenario<'a> {
     /// [`MultiCaseScenario::recover`] on a scenario bound to the same
     /// store.
     pub fn kill_at(mut self, tick: u64) -> Self {
-        self.kill_at = Some(tick);
+        self.config.kill_at = Some(tick);
         self
     }
 
@@ -427,11 +270,9 @@ impl<'a> MultiCaseScenario<'a> {
     }
 
     /// The engine configuration for a run: the scenario's config plus
-    /// the run-time store binding (which needs the run's trace log) and
-    /// the kill point.
+    /// the run-time store binding (which needs the run's trace log).
     fn engine_config_for(&self, log: Option<&TraceLog>) -> EngineConfig {
         let mut config = self.config.clone();
-        config.kill_at = self.kill_at;
         config.store = self.store.as_ref().map(|(store, snapshot_every)| {
             let journal = log
                 .expect("a store-bound scenario is always traced")

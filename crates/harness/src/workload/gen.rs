@@ -18,9 +18,9 @@
 //! The same configuration yields a byte-identical workload — same graph,
 //! same case, same topology, same capacity profile (pinned by
 //! [`Workload::fingerprint`] in the conformance tests) — and therefore,
-//! under FIFO admission, a byte-identical merged JSONL trace at any
-//! worker count.  All randomness is drawn from one `ChaCha8Rng` seeded
-//! with [`WorkloadGen::seed`], in a fixed order.
+//! under FIFO admission, a byte-identical merged JSONL trace on every
+//! run.  All randomness is drawn from one `ChaCha8Rng` seeded with
+//! [`WorkloadGen::seed`], in a fixed order.
 
 use super::{GoalIdAllocator, Workload, WorldBuilder};
 use gridflow_grid::container::ApplicationContainer;

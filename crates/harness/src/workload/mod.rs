@@ -267,10 +267,9 @@ pub fn dinner_topology() -> GridTopology {
 
 /// The dinner topology scaled out: `replicas` dedicated containers per
 /// service instead of two, interleaved by service so consecutive
-/// container positions (and hence shard stripes) mix all four services.
-/// This is the fleet-bench shape — enough capacity that the schedule is
-/// compute-bound rather than contention-bound, which is where the
-/// sharded core's parallel prepare phase earns its keep.
+/// container positions mix all four services.  This is the fleet-bench
+/// shape — enough capacity that the schedule is compute-bound rather
+/// than contention-bound.
 pub fn dinner_topology_scaled(replicas: usize) -> GridTopology {
     let services = ["prep", "cook", "nuke", "plate"];
     let mut resources = Vec::new();
@@ -309,8 +308,7 @@ pub fn dinner_workload_scaled(replicas: usize, fleet: usize) -> Workload {
         // one slot per container a whole fleet funnels into the same few
         // top-ranked hosts each tick.  Give each replica a real slot
         // budget so the schedule is compute-bound (machine rebuilds,
-        // candidate ranking) rather than reservation-bound — the shape
-        // the sharded core's parallel prepare phase is for.
+        // candidate ranking) rather than reservation-bound.
         for container in w.hosting_containers("prep") {
             w.set_capacity(&container, 16);
         }

@@ -11,9 +11,7 @@
 //! through the planning service, exactly the escalation of §3.3.
 
 use crate::error::{Result, ServiceError};
-use crate::matchmaking::{
-    matchmake, matchmake_admitted, MatchRequest, RankedMatch, ShardedMatchIndex,
-};
+use crate::matchmaking::{matchmake, matchmake_admitted, MatchRequest, RankedMatch};
 use crate::monitoring::MonitoringService;
 use crate::planning::{PlanRequest, PlanningService};
 use crate::world::GridWorld;
@@ -23,7 +21,7 @@ use gridflow_process::{
     ActivityKind, AtnMachine, AtnSnapshot, CaseDescription, DataState, ProcessGraph,
 };
 use gridflow_recovery::{Admission, RecoveryManager, RecoveryPolicy, RecoveryState};
-use gridflow_telemetry::{BufferedOp, TraceBuffer, TraceEvent, TraceHandle, TraceSink};
+use gridflow_telemetry::{TraceEvent, TraceHandle, TraceSink};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -395,101 +393,6 @@ enum ActivityOutcome {
         /// was active (its admission filter mutates breaker state, so
         /// its candidate list cannot be cached).
         taken: Vec<String>,
-    },
-}
-
-/// The speculative half of one fiber step, produced by
-/// [`CaseFiber::prepare`] and consumed by [`CaseFiber::step_prepared`].
-///
-/// This is the unit of parallelism in the engine's sharded two-phase
-/// tick.  `prepare` runs against a *read-only* world — shard workers
-/// prepare their fibers concurrently — and does everything a step does
-/// that touches only fiber-local state: the graph clone, the ATN
-/// machine rebuild, the finished/loop-bound/ready decisions, and
-/// (through a shared [`ShardedMatchIndex`]) the candidate ranking.
-/// Anything it would have traced is captured in an ordered buffer.
-/// `step_prepared` then runs in the canonical sequential commit order:
-/// it splices the buffer into the real trace and performs the
-/// world-mutating remainder (reservations, dispatch, output
-/// application) exactly as an unprepared [`CaseFiber::step`] would, so
-/// the merged trace is byte-identical to an unsharded run.
-///
-/// The fiber-local half is *exact*, not speculative — a fiber's state
-/// cannot change between its own prepare and commit, because only its
-/// own commit mutates it.  The one genuinely speculative ingredient is
-/// the ranking, which depends on world state other commits could
-/// invalidate; it is stamped with the preparing world's
-/// [`GridWorld::generation`] and silently discarded at commit if the
-/// generation moved (the commit then re-ranks, exactly like the
-/// un-prepared path).
-///
-/// Contract: a `PreparedStep` must be committed (or the fiber dropped)
-/// before any other call on the same fiber — `prepare` moves the ATN
-/// snapshot out of the fiber, and only `step_prepared` puts it back.
-#[derive(Debug)]
-pub struct PreparedStep {
-    /// The world generation the speculation was prepared against.
-    generation: u64,
-    /// The graph clone the prepared machine state belongs to.
-    graph: Option<ProcessGraph>,
-    /// The ATN machine state after the prepare-phase rebuild.
-    snapshot: Option<AtnSnapshot>,
-    /// Everything prepare would have traced, in emission order.
-    buffered: Vec<BufferedOp>,
-    /// What the step will do at commit.
-    decision: PrepDecision,
-}
-
-impl PreparedStep {
-    fn bare(generation: u64, decision: PrepDecision) -> Self {
-        PreparedStep {
-            generation,
-            graph: None,
-            snapshot: None,
-            buffered: Vec::new(),
-            decision,
-        }
-    }
-}
-
-/// The commit action a [`PreparedStep`] carries.
-#[derive(Debug)]
-enum PrepDecision {
-    /// The fiber was already done; commit is a no-op `Finished`.
-    AlreadyFinished,
-    /// The fiber is blocked on capacity; commit runs the blocked-resume
-    /// path, seeded with a speculative re-ranking when the shared index
-    /// could answer.
-    Resume {
-        /// Speculative candidate ranking for the pending service.
-        ranking: Option<Vec<RankedMatch>>,
-    },
-    /// The workflow finished; commit seals the report.
-    Finish {
-        /// Whether the case's goals held on the final data state.
-        success: bool,
-    },
-    /// A loop header exceeded the configured iteration bound.
-    LoopExceeded {
-        /// The offending merge node.
-        merge: String,
-    },
-    /// No ready activities: the workflow is stuck.
-    Stuck,
-    /// Machine rebuild failed; commit aborts with this reason.
-    Abort {
-        /// The abort reason, formatted exactly as the unprepared step
-        /// would have.
-        reason: String,
-    },
-    /// The normal case: dispatch one ready activity.
-    Dispatch {
-        /// The ready activity to dispatch.
-        activity_id: String,
-        /// The service it maps to.
-        service: String,
-        /// Speculative candidate ranking from the shared index.
-        ranking: Option<Vec<RankedMatch>>,
     },
 }
 
@@ -872,125 +775,53 @@ impl CaseFiber {
     /// re-planning round).  Terminal steps emit `EnactmentFinished` and
     /// seal the report; further calls return [`FiberStatus::Finished`]
     /// without side effects.
-    ///
-    /// `step` is exactly [`CaseFiber::prepare`] followed by
-    /// [`CaseFiber::step_prepared`] with no index and no interleaving —
-    /// the single code path that makes the sharded core's two-phase
-    /// split byte-identical to the event core by construction.
     pub fn step(&mut self, world: &mut GridWorld) -> FiberStatus {
-        let prepared = self.prepare(world, None);
-        self.step_prepared(world, prepared)
-    }
-
-    /// Phase 1 of the two-phase tick: do everything the next step does
-    /// that needs no world mutation, against a read-only world.  See
-    /// [`PreparedStep`] for what is exact versus speculative.  The
-    /// returned value must be handed to [`CaseFiber::step_prepared`]
-    /// before any other call on this fiber.
-    pub fn prepare(
-        &mut self,
-        world: &GridWorld,
-        index: Option<&ShardedMatchIndex>,
-    ) -> PreparedStep {
-        let generation = world.generation();
         if self.done {
-            return PreparedStep::bare(generation, PrepDecision::AlreadyFinished);
+            return FiberStatus::Finished;
         }
         // Blocked fast path: nothing about the fiber changed since the
         // step that blocked, so the expensive re-derivation (graph
-        // clone, machine rebuild, ready-set scan) is skipped; only a
-        // speculative re-ranking is worth computing up front.
-        if let Some(pending) = &self.pending {
-            let ranking = self.speculative_ranking(world, index, &pending.service);
-            return PreparedStep::bare(generation, PrepDecision::Resume { ranking });
+        // clone, machine rebuild, ready-set scan — and sometimes the
+        // matchmake) is skipped.  Emissions are identical either way.
+        if let Some(pending) = self.pending.take() {
+            return self.step_resume(world, pending);
         }
-        // Route the prepare phase's emissions into a buffer the commit
-        // splices in; an uninstalled trace stays uninstalled, so the
-        // traced/untraced behavior split (emit_transitions early-out,
-        // flow_base updates) is identical to a direct step.
-        let buffer = self
-            .trace
-            .is_installed()
-            .then(|| Arc::new(TraceBuffer::new()));
-        let real = std::mem::replace(
-            &mut self.trace,
-            match &buffer {
-                Some(b) => TraceHandle::new(b.clone()),
-                None => TraceHandle::none(),
-            },
-        );
         let graph = self.current_graph.clone();
-        let (snapshot, decision) = self.prepare_on(&graph, world, index);
-        self.trace = real;
-        PreparedStep {
-            generation,
-            graph: Some(graph),
-            snapshot,
-            buffered: buffer.map(|b| b.drain()).unwrap_or_default(),
-            decision,
-        }
-    }
-
-    /// The machine-rebuild-and-decide core of the prepare phase, run
-    /// against the prepare-local graph clone.  Emissions go to whatever
-    /// handle [`CaseFiber::prepare`] installed.
-    fn prepare_on(
-        &mut self,
-        graph: &ProcessGraph,
-        world: &GridWorld,
-        index: Option<&ShardedMatchIndex>,
-    ) -> (Option<AtnSnapshot>, PrepDecision) {
         let machine = match self.snapshot.take() {
-            Some(snapshot) => match AtnMachine::restore(graph, snapshot) {
+            Some(snapshot) => match AtnMachine::restore(&graph, snapshot) {
                 Ok(m) => {
                     if self.prime_flow_base {
-                        self.flow_base = flow_counts(graph, &m);
+                        self.flow_base = flow_counts(&graph, &m);
                         self.prime_flow_base = false;
                     }
                     m
                 }
                 Err(e) => {
-                    return (
-                        None,
-                        PrepDecision::Abort {
-                            reason: format!("checkpoint restore failed: {e}"),
-                        },
-                    );
+                    return self.finish_aborted(format!("checkpoint restore failed: {e}"));
                 }
             },
             None => {
                 self.flow_base.clear();
-                let mut m = match AtnMachine::new(graph) {
+                let mut m = match AtnMachine::new(&graph) {
                     Ok(m) => m,
                     Err(e) => {
-                        return (
-                            None,
-                            PrepDecision::Abort {
-                                reason: format!("invalid process graph: {e}"),
-                            },
-                        );
+                        return self.finish_aborted(format!("invalid process graph: {e}"));
                     }
                 };
                 if let Err(e) = m.start(&self.state) {
-                    return (
-                        None,
-                        PrepDecision::Abort {
-                            reason: format!("start failed: {e}"),
-                        },
-                    );
+                    return self.finish_aborted(format!("start failed: {e}"));
                 }
-                self.emit_transitions(graph, &m);
+                self.emit_transitions(&graph, &m);
                 m
             }
         };
 
         if machine.is_finished() {
-            return (
-                None,
-                PrepDecision::Finish {
-                    success: self.case.goals_met(&self.state),
-                },
-            );
+            self.report.success = self.case.goals_met(&self.state);
+            if !self.report.success {
+                self.report.abort_reason = Some("workflow finished but case goals unmet".into());
+            }
+            return self.finish();
         }
         // Loop-bound defense.
         if let Some(merge) = graph
@@ -999,120 +830,32 @@ impl CaseFiber {
             .filter(|a| a.kind == ActivityKind::Merge)
             .find(|a| machine.executions(&a.id) > self.config.max_loop_iterations)
         {
-            return (
-                None,
-                PrepDecision::LoopExceeded {
-                    merge: merge.id.clone(),
-                },
-            );
+            return self.finish_aborted(format!(
+                "loop at `{}` exceeded {} iterations",
+                merge.id, self.config.max_loop_iterations
+            ));
         }
         let Some(activity_id) = machine.ready().first().cloned() else {
-            return (None, PrepDecision::Stuck);
+            return self.finish_aborted("workflow stuck: no ready activities".to_string());
         };
         let service = graph
             .activity(&activity_id)
             .and_then(|a| a.service.clone())
             .unwrap_or_else(|| activity_id.clone());
-        let ranking = self.speculative_ranking(world, index, &service);
-        (
-            Some(machine.into_snapshot()),
-            PrepDecision::Dispatch {
-                activity_id,
-                service,
-                ranking,
-            },
-        )
-    }
 
-    /// The prepare phase's candidate ranking, answered only from the
-    /// shared read-only index: an index miss (or no index, or a
-    /// recovery-enabled fiber, whose admission filter mutates breaker
-    /// state) defers ranking to the sequential commit.
-    fn speculative_ranking(
-        &self,
-        world: &GridWorld,
-        index: Option<&ShardedMatchIndex>,
-        service: &str,
-    ) -> Option<Vec<RankedMatch>> {
-        if self.recovery.enabled() {
-            return None;
-        }
-        index.and_then(|i| i.matches(world, &MatchRequest::for_service(service)))
-    }
+        // Monitoring feedback: let live probes open/half-open the
+        // circuit breakers before matchmaking sees the candidates.
+        self.monitor_probe(world);
 
-    /// Phase 2 of the two-phase tick: commit a [`PreparedStep`] in the
-    /// canonical sequential order.  Splices the prepare phase's
-    /// buffered emissions into the real trace, then performs the
-    /// world-mutating remainder — reservation, dispatch, output
-    /// application — exactly as an unprepared step would.
-    pub fn step_prepared(&mut self, world: &mut GridWorld, prepared: PreparedStep) -> FiberStatus {
-        let PreparedStep {
-            generation,
-            graph,
-            snapshot,
-            buffered,
-            decision,
-        } = prepared;
-        // Speculative emissions precede everything this step does live.
-        for op in buffered {
-            match op {
-                BufferedOp::Emit { source, event } => self.trace.emit(&source, event),
-                BufferedOp::AdvanceS(dt) => self.trace.advance_s(dt),
+        match self.run_activity(world, &service, &activity_id) {
+            Ok(ActivityOutcome::Blocked { taken }) => {
+                // The machine never advanced: its state moves back into
+                // the fiber unchanged for the blocked fast path.
+                self.snapshot = Some(machine.into_snapshot());
+                self.note_blocked(world, activity_id, service, taken)
             }
-        }
-        match decision {
-            PrepDecision::AlreadyFinished => FiberStatus::Finished,
-            PrepDecision::Resume { ranking } => match self.pending.take() {
-                Some(pending) => self.step_resume(world, pending, ranking, generation),
-                // Unreachable under the prepare/commit contract; a lost
-                // pending simply degrades to a full re-step.
-                None => self.step(world),
-            },
-            PrepDecision::Finish { success } => {
-                self.report.success = success;
-                if !success {
-                    self.report.abort_reason =
-                        Some("workflow finished but case goals unmet".into());
-                }
-                self.finish()
-            }
-            PrepDecision::LoopExceeded { merge } => self.finish_aborted(format!(
-                "loop at `{merge}` exceeded {} iterations",
-                self.config.max_loop_iterations
-            )),
-            PrepDecision::Stuck => {
-                self.finish_aborted("workflow stuck: no ready activities".to_string())
-            }
-            PrepDecision::Abort { reason } => self.finish_aborted(reason),
-            PrepDecision::Dispatch {
-                activity_id,
-                service,
-                ranking,
-            } => {
-                let (Some(graph), Some(snapshot)) = (graph, snapshot) else {
-                    // Unreachable by construction; abort rather than panic.
-                    return self.finish_aborted("prepared dispatch lost its machine".to_string());
-                };
-                // Monitoring feedback: let live probes open/half-open the
-                // circuit breakers before matchmaking sees the candidates.
-                self.monitor_probe(world);
-                let ranking = ranking.filter(|_| world.generation() == generation);
-                match self.run_activity(world, &service, &activity_id, ranking) {
-                    Ok(ActivityOutcome::Blocked { taken }) => {
-                        // The machine never advanced: the prepared state
-                        // moves back into the fiber unchanged (the value
-                        // the unprepared path would re-snapshot).
-                        self.snapshot = Some(snapshot);
-                        self.note_blocked(world, activity_id, service, taken)
-                    }
-                    Ok(ActivityOutcome::Completed) => {
-                        // The prepare phase already validated this graph.
-                        let machine = AtnMachine::restore_prevalidated(&graph, snapshot);
-                        self.advance_machine(&graph, machine, &activity_id)
-                    }
-                    Err(_) => self.escalate_replan(world, &activity_id, &service),
-                }
-            }
+            Ok(ActivityOutcome::Completed) => self.advance_machine(&graph, machine, &activity_id),
+            Err(_) => self.escalate_replan(world, &activity_id, &service),
         }
     }
 
@@ -1145,17 +888,7 @@ impl CaseFiber {
     /// finished/loop-bound/ready conclusions still hold and the step
     /// goes straight to the dispatch; the machine is rebuilt only when
     /// the dispatch actually completes and the ATN must advance.
-    ///
-    /// `ranking` is a speculative candidate ranking computed by a
-    /// prepare phase against `prep_generation`; it is honored only
-    /// while the world's matchmaking generation still matches.
-    fn step_resume(
-        &mut self,
-        world: &mut GridWorld,
-        pending: PendingDispatch,
-        ranking: Option<Vec<RankedMatch>>,
-        prep_generation: u64,
-    ) -> FiberStatus {
+    fn step_resume(&mut self, world: &mut GridWorld, pending: PendingDispatch) -> FiberStatus {
         // Contention-only fast path: while the world's matchmaking
         // generation is unchanged the blocking step's candidate ranking
         // still stands, and if every ranked candidate is still fully
@@ -1187,8 +920,7 @@ impl CaseFiber {
         // Monitoring feedback, exactly as the full path runs it before
         // matchmaking sees the candidates.
         self.monitor_probe(world);
-        let ranking = ranking.filter(|_| world.generation() == prep_generation);
-        match self.run_activity(world, &service, &activity_id, ranking) {
+        match self.run_activity(world, &service, &activity_id) {
             Ok(ActivityOutcome::Blocked { taken }) => {
                 // The snapshot is already in place from the step that
                 // first blocked.
@@ -1457,19 +1189,11 @@ impl CaseFiber {
         world: &mut GridWorld,
         service: &str,
         activity_id: &str,
-        ranking: Option<Vec<RankedMatch>>,
     ) -> Result<ActivityOutcome> {
         if self.recovery.enabled() {
             return self.run_activity_ladder(world, service, activity_id);
         }
-        // A prepare-phase ranking (already generation-checked by the
-        // caller) stands in for the matchmake; an empty one falls
-        // through the loop to the same `ActivityFailed` the matchmake's
-        // no-offer error collapses to under `escalate_replan`.
-        let candidates = match ranking {
-            Some(ranked) => ranked,
-            None => matchmake(world, &MatchRequest::for_service(service))?,
-        };
+        let candidates = matchmake(world, &MatchRequest::for_service(service))?;
         let mut blocked = false;
         let mut dispatched = false;
         let mut taken: Vec<String> = Vec::new();

@@ -43,10 +43,10 @@ pub mod world;
 
 pub use coordination::{
     CaseFiber, EnactmentCheckpoint, EnactmentConfig, EnactmentReport, Enactor, EnactorBuilder,
-    FiberImage, FiberStatus, PendingImage, PreparedStep,
+    FiberImage, FiberStatus, PendingImage,
 };
 pub use error::{Result, ServiceError};
-pub use matchmaking::{MatchIndex, MatchRequest, RankedMatch, ShardedMatchIndex};
+pub use matchmaking::{MatchIndex, MatchRequest, RankedMatch};
 pub use plan_cache::{
     InProcPlanCache, PlanCache, PlanCacheHandle, PlanCacheStats, PlanFetchOutcome,
 };

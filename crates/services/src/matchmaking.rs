@@ -154,8 +154,7 @@ impl MatchIndex {
 
 /// Does `entry` pass every *static* condition of `request`?  Liveness
 /// (`container.up`) is the one check this cannot answer — the caller
-/// verifies it against the topology.  Shared by the cached-index query
-/// and the sharded index so the two filters cannot drift apart.
+/// verifies it against the topology.
 fn admit_entry(entry: &IndexEntry, request: &MatchRequest) -> bool {
     if request.require_fine_grain && !entry.fine_grain {
         return false;
@@ -179,135 +178,6 @@ fn admit_entry(entry: &IndexEntry, request: &MatchRequest) -> bool {
         }
     }
     true
-}
-
-/// Matchmaking's ranking key: `(estimated duration, container id)`.
-/// Total because container ids are unique, so it never answers `Equal`
-/// for distinct entries.
-fn entry_before(a: &IndexEntry, b: &IndexEntry) -> bool {
-    a.duration_s
-        .partial_cmp(&b.duration_s)
-        .expect("durations are finite")
-        .then_with(|| a.container.cmp(&b.container))
-        .is_lt()
-}
-
-/// Per-service candidate rankings partitioned by container shard — the
-/// read-only index the engine's sharded core shares across its prepare
-/// threads.
-///
-/// Unlike the world-cached [`MatchIndex`] (a `Mutex`-guarded lazy
-/// cache), this index is engine-owned and queried through `&self` with
-/// no interior locking, so `N` shard workers rank candidates
-/// concurrently without serializing on a cache lock.  The engine
-/// rebuilds it whenever [`GridWorld::generation`] moves (container
-/// flips, catalog changes) — between rebuilds the world's
-/// matchmaking-visible state is frozen, which is what makes the
-/// lock-free reads sound.
-///
-/// Partitioning is the ownership map of the sharded core: the entries
-/// for shard `s` cover exactly the containers at topology positions
-/// `p` with `p % shards == s` (see `gridflow_grid::ShardMap`).  A
-/// query k-way merges the per-shard lists under matchmaking's ranking
-/// key `(duration, container id)` — a *total* order, so the merged
-/// ranking is byte-identical to the global [`MatchIndex`] answer and
-/// to the legacy scan.
-#[derive(Debug)]
-pub struct ShardedMatchIndex {
-    /// The world generation this index reflects.
-    generation: u64,
-    /// The shard count the entries are partitioned by.
-    shards: usize,
-    /// service name → per-shard ranked candidate entries.
-    by_service: BTreeMap<String, Vec<Vec<IndexEntry>>>,
-}
-
-impl ShardedMatchIndex {
-    /// Build the index for the world's current catalog and topology,
-    /// partitioned into `shards` (clamped to ≥ 1) groups.  Delegates
-    /// entry construction to [`MatchIndex::build`] so the candidate
-    /// set, estimates, and per-shard sort order are identical to the
-    /// global index by construction.
-    pub fn build(world: &GridWorld, shards: usize) -> Self {
-        let shards = shards.max(1);
-        let global = MatchIndex::build(world);
-        let mut by_service = BTreeMap::new();
-        for (name, entries) in global.by_service {
-            let mut parts = vec![Vec::new(); shards];
-            for entry in entries {
-                // Splitting a sorted list preserves order within parts.
-                parts[entry.container_pos % shards].push(entry);
-            }
-            by_service.insert(name, parts);
-        }
-        ShardedMatchIndex {
-            generation: global.generation,
-            shards,
-            by_service,
-        }
-    }
-
-    /// The generation this index was built at.
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// The shard count this index was partitioned by.
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// Answer `request` by k-way merging the per-shard rankings,
-    /// applying exactly the conditions [`matchmake`] applies.
-    ///
-    /// Returns `None` — telling the caller to fall back to the full
-    /// [`matchmake`] path — when the index is stale (generation
-    /// mismatch), the service is not in the catalog it was built from,
-    /// or a recorded container position no longer matches the topology
-    /// (a mutation behind the generation counter's back).  An empty
-    /// `Some` is a real answer: nothing qualifies.
-    pub fn matches(&self, world: &GridWorld, request: &MatchRequest) -> Option<Vec<RankedMatch>> {
-        if self.generation != world.generation() {
-            return None;
-        }
-        let parts = self.by_service.get(&request.service)?;
-        let mut cursors = vec![0usize; parts.len()];
-        let mut matches = Vec::new();
-        loop {
-            // The frontier entry with the smallest ranking key wins;
-            // the key is total, so the merge order is unambiguous.
-            let mut best: Option<usize> = None;
-            for (shard, part) in parts.iter().enumerate() {
-                let Some(entry) = part.get(cursors[shard]) else {
-                    continue;
-                };
-                best = match best {
-                    Some(b) if !entry_before(entry, &parts[b][cursors[b]]) => Some(b),
-                    _ => Some(shard),
-                };
-            }
-            let Some(shard) = best else {
-                break;
-            };
-            let entry = &parts[shard][cursors[shard]];
-            cursors[shard] += 1;
-            let container = world.topology.containers.get(entry.container_pos)?;
-            if container.id != entry.container {
-                return None;
-            }
-            if !container.up || !admit_entry(entry, request) {
-                continue;
-            }
-            matches.push(RankedMatch {
-                container: entry.container.clone(),
-                resource: entry.resource.clone(),
-                duration_s: entry.duration_s,
-                cost: entry.cost,
-                reliability: entry.reliability,
-            });
-        }
-        Some(matches)
-    }
 }
 
 /// Answer `request` from the world's cached [`MatchIndex`],
@@ -840,106 +710,6 @@ mod tests {
             indexed,
             scan_matches(&w, offering, &MatchRequest::for_service("X"))
         );
-    }
-
-    #[test]
-    fn sharded_index_merges_to_the_exact_global_ranking() {
-        let mut w = world(false);
-        let requests = [
-            MatchRequest::for_service("X"),
-            MatchRequest {
-                require_fine_grain: true,
-                ..MatchRequest::for_service("X")
-            },
-            MatchRequest {
-                domain: Some("ucf.edu".into()),
-                min_reliability: 0.9,
-                ..MatchRequest::for_service("X")
-            },
-            MatchRequest {
-                budget: Some(1.0e9),
-                deadline_s: Some(1.0e9),
-                ..MatchRequest::for_service("X")
-            },
-        ];
-        let assert_agree = |w: &GridWorld| {
-            for shards in [1, 2, 3, 8] {
-                let idx = ShardedMatchIndex::build(w, shards);
-                assert_eq!(idx.shards(), shards);
-                assert_eq!(idx.generation(), w.generation());
-                for request in &requests {
-                    let offering = w.offering(&request.service).unwrap();
-                    let sharded = idx.matches(w, request).expect("fresh index answers");
-                    let scanned = scan_matches(w, offering, request);
-                    assert_eq!(sharded, scanned, "shards={shards} request={request:?}");
-                }
-            }
-        };
-        assert_agree(&w);
-        w.set_container_up("ac-pc", false).unwrap();
-        assert_agree(&w);
-        w.set_container_up("ac-pc", true).unwrap();
-        assert_agree(&w);
-    }
-
-    #[test]
-    fn sharded_index_declines_when_stale_or_poisoned() {
-        let mut w = world(false);
-        let idx = ShardedMatchIndex::build(&w, 2);
-        // Unknown service: no answer (matchmake would error on it too).
-        assert!(idx
-            .matches(&w, &MatchRequest::for_service("nope"))
-            .is_none());
-        // A generation bump invalidates the whole index.
-        w.set_container_up("ac-pc", false).unwrap();
-        assert!(idx.matches(&w, &MatchRequest::for_service("X")).is_none());
-        // An untracked topology mutation trips the position check.
-        let mut w2 = world(false);
-        let idx2 = ShardedMatchIndex::build(&w2, 2);
-        w2.topology.containers.retain(|c| c.id != "ac-pc");
-        assert!(idx2.matches(&w2, &MatchRequest::for_service("X")).is_none());
-        // An empty-but-valid answer is Some(vec![]), not None: every
-        // candidate filtered is an answer, not a fallback.
-        let w3 = world(false);
-        let idx3 = ShardedMatchIndex::build(&w3, 2);
-        let impossible = MatchRequest {
-            budget: Some(0.0),
-            ..MatchRequest::for_service("X")
-        };
-        assert_eq!(idx3.matches(&w3, &impossible), Some(vec![]));
-    }
-
-    #[test]
-    fn sharded_index_on_generated_topologies_agrees_with_matchmake() {
-        use crate::world::OutputSpec;
-        use gridflow_grid::workload::TaskDemand;
-        // Fleet-scale shape: a generated topology, several services,
-        // every (shards, request) cell against the matchmake oracle.
-        let services: Vec<String> = ["POD", "P3DR", "POR"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let topo = gridflow_grid::GridTopology::generate(24, &services, 42);
-        let mut w = GridWorld::new(topo);
-        for s in &services {
-            w.offer(
-                ServiceOffering::new(
-                    s.clone(),
-                    Vec::<String>::new(),
-                    vec![OutputSpec::plain("Out")],
-                )
-                .with_demand(TaskDemand::coarse(s.clone(), 100.0, 5.0)),
-            );
-        }
-        w.set_container_up("ac-3", false).unwrap();
-        for shards in [1, 2, 5, 24, 64] {
-            let idx = ShardedMatchIndex::build(&w, shards);
-            for s in &services {
-                let sharded = idx.matches(&w, &MatchRequest::for_service(s.as_str()));
-                let global = matchmake(&w, &MatchRequest::for_service(s.as_str())).unwrap();
-                assert_eq!(sharded, Some(global), "shards={shards} service={s}");
-            }
-        }
     }
 
     #[test]

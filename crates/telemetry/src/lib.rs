@@ -42,6 +42,6 @@ pub use event::{Label, TraceEvent, TraceRecord};
 pub use metrics::{Histogram, MetricsRegistry, LATENCY_BUCKETS_S};
 pub use query::{AdmissionRecord, TraceQuery, TraceViolation};
 pub use sink::{
-    BufferedOp, FrozenClock, NullSink, ScopedSink, TeeSink, TraceBuffer, TraceClock, TraceHandle,
-    TraceLog, TraceSink, TraceSlot,
+    FrozenClock, NullSink, ScopedSink, TeeSink, TraceClock, TraceHandle, TraceLog, TraceSink,
+    TraceSlot,
 };

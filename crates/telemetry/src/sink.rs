@@ -363,100 +363,6 @@ impl TraceSink for ScopedSink {
     }
 }
 
-/// One operation a [`TraceBuffer`] captured: an emission or a
-/// virtual-seconds advance, in the order the instrumented code issued
-/// them.
-#[derive(Debug, Clone, PartialEq)]
-pub enum BufferedOp {
-    /// `emit(source, event)` was called.
-    Emit {
-        /// The emission's source label (pre-scoping — replay through a
-        /// scoped sink re-applies the scope).
-        source: String,
-        /// The emitted event.
-        event: TraceEvent,
-    },
-    /// `advance_s(dt)` was called.
-    AdvanceS(
-        /// The virtual-seconds delta.
-        f64,
-    ),
-}
-
-/// A sink that *defers*: emissions and clock advances are captured in
-/// order instead of reaching a log, to be replayed later into a real
-/// sink.
-///
-/// This is the splice primitive behind the engine's sharded two-phase
-/// tick.  During the parallel prepare phase each shard's speculative
-/// work traces into its own `TraceBuffer` — nothing touches the shared
-/// log, whose sequence numbers are global state.  The sequential commit
-/// phase then replays each adopted speculation's buffer into the real
-/// sink at the exact point the canonical order reaches it, so the
-/// merged JSONL stream is byte-identical to an unsharded run;
-/// discarded speculations are simply dropped, buffer and all.
-#[derive(Debug, Default)]
-pub struct TraceBuffer {
-    ops: Mutex<Vec<BufferedOp>>,
-}
-
-impl TraceBuffer {
-    /// An empty buffer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of captured operations.
-    pub fn len(&self) -> usize {
-        self.ops.lock().len()
-    }
-
-    /// Has nothing been captured?
-    pub fn is_empty(&self) -> bool {
-        self.ops.lock().is_empty()
-    }
-
-    /// Take the captured operations, leaving the buffer empty.
-    pub fn drain(&self) -> Vec<BufferedOp> {
-        std::mem::take(&mut *self.ops.lock())
-    }
-
-    /// Replay (and drain) the captured operations into `sink`, in
-    /// capture order.
-    pub fn replay_into(&self, sink: &dyn TraceSink) {
-        for op in self.drain() {
-            match op {
-                BufferedOp::Emit { source, event } => sink.emit(&source, event),
-                BufferedOp::AdvanceS(dt) => sink.advance_s(dt),
-            }
-        }
-    }
-
-    /// Replay (and drain) the captured operations through `handle` —
-    /// a no-op if no sink is installed, matching direct emission.
-    pub fn replay_handle(&self, handle: &TraceHandle) {
-        for op in self.drain() {
-            match op {
-                BufferedOp::Emit { source, event } => handle.emit(&source, event),
-                BufferedOp::AdvanceS(dt) => handle.advance_s(dt),
-            }
-        }
-    }
-}
-
-impl TraceSink for TraceBuffer {
-    fn emit(&self, source: &str, event: TraceEvent) {
-        self.ops.lock().push(BufferedOp::Emit {
-            source: source.to_owned(),
-            event,
-        });
-    }
-
-    fn advance_s(&self, dt: f64) {
-        self.ops.lock().push(BufferedOp::AdvanceS(dt));
-    }
-}
-
 /// A sink that fans every emission out to several inner sinks, in
 /// order.  The transport-selection layer uses it to mirror a run's
 /// trace stream onto a remote delivery backend without disturbing the
@@ -676,61 +582,6 @@ mod tests {
         assert_eq!(log.records_from(8)[0].seq, 8);
         assert!(log.records_from(9).is_empty());
         assert_eq!(log.records_from(0).len(), 2);
-    }
-
-    #[test]
-    fn trace_buffer_replays_in_capture_order_and_drains() {
-        let buffer = TraceBuffer::new();
-        buffer.emit("enactor", msg(1));
-        buffer.advance_s(2.5);
-        buffer.emit("enactor", msg(2));
-        assert_eq!(buffer.len(), 3);
-        let log = TraceLog::new();
-        buffer.replay_into(&log);
-        assert!(buffer.is_empty(), "replay drains the buffer");
-        let recs = log.records();
-        assert_eq!(recs.len(), 2);
-        assert_eq!(
-            (recs[0].event.message_id(), recs[1].event.message_id()),
-            (Some(1), Some(2))
-        );
-        assert_eq!((recs[0].seq, recs[1].seq), (0, 1));
-    }
-
-    #[test]
-    fn trace_buffer_splice_is_byte_identical_to_direct_emission() {
-        // The sharded commit's contract: direct emission and
-        // buffered-then-replayed emission produce the same log bytes.
-        let direct = TraceLog::new();
-        direct.emit("a", msg(1));
-        direct.emit("b", msg(2));
-        direct.emit("a", msg(3));
-
-        let spliced = TraceLog::new();
-        spliced.emit("a", msg(1));
-        let buffer = TraceBuffer::new();
-        buffer.emit("b", msg(2));
-        buffer.emit("a", msg(3));
-        buffer.replay_into(&spliced);
-        assert_eq!(direct.fingerprint(), spliced.fingerprint());
-    }
-
-    #[test]
-    fn trace_buffer_through_a_scoped_sink_keeps_the_scope() {
-        // Replay through the same scoped sink the fiber would have
-        // emitted through re-applies the case scope.
-        let log = TraceLog::new();
-        let scoped = ScopedSink::new("case:x", Arc::new(log.clone()));
-        let buffer = TraceBuffer::new();
-        buffer.emit("enactor", msg(1));
-        buffer.replay_into(&scoped);
-        assert_eq!(log.records()[0].source, "case:x/enactor");
-        // And replay through an empty handle is a silent no-op.
-        let buffer = TraceBuffer::new();
-        buffer.emit("enactor", msg(2));
-        buffer.replay_handle(&TraceHandle::none());
-        assert!(buffer.is_empty());
-        assert_eq!(log.len(), 1);
     }
 
     #[test]

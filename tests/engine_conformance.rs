@@ -2,10 +2,10 @@
 //!
 //! The engine's contract has three planks:
 //!
-//! 1. **Worker-count trace invariance** — the scheduler is logically
-//!    single-threaded and `workers` only chunks an already-ordered step
-//!    list, so a given seed produces a *byte-identical* merged JSONL
-//!    trace at any worker count.
+//! 1. **Trace determinism** — the scheduler steps every case in a
+//!    canonical order on one thread, so a given seed produces a
+//!    *byte-identical* merged JSONL trace on every run, and different
+//!    seeds produce different ones.
 //! 2. **Busy is not broken** — contention for container capacity blocks
 //!    a case for a tick; it never fails it, and tick-scoped
 //!    reservations guarantee no container slot is ever double-booked
@@ -27,28 +27,22 @@ fn query(log: &TraceLog) -> TraceQuery {
 // ------------------------------------------------------------------ 1
 
 #[test]
-fn merged_traces_are_byte_identical_across_worker_counts() {
+fn merged_traces_replay_byte_identically() {
     // Activity failures make the schedule non-trivial (failed attempts,
     // failovers) and the admission queue forces cases to start late.
     let plan = FaultPlan::seeded(17).failing_activities(0.2);
     let wl = dinner_workload();
-    let jsonl_for = |workers: usize| {
-        let outcome = MultiCaseScenario::new(&plan, &wl, 5)
-            .workers(workers)
-            .max_in_flight(3)
-            .traced()
-            .run();
+    let scenario = MultiCaseScenario::new(&plan, &wl, 5)
+        .max_in_flight(3)
+        .traced();
+    let jsonl = || {
+        let outcome = scenario.clone().run();
         assert_eq!(outcome.engine.cases.len(), 5);
         outcome.trace.expect("traced").to_jsonl()
     };
-    let w1 = jsonl_for(1);
-    let w2 = jsonl_for(2);
-    let w8 = jsonl_for(8);
-    assert!(!w1.is_empty());
-    assert_eq!(w1, w2, "workers=2 diverged from workers=1");
-    assert_eq!(w1, w8, "workers=8 diverged from workers=1");
-    // And the whole thing replays byte-identically.
-    assert_eq!(w1, jsonl_for(1));
+    let first = jsonl();
+    assert!(!first.is_empty());
+    assert_eq!(first, jsonl(), "a replay diverged");
 }
 
 #[test]

@@ -1,24 +1,24 @@
-//! Differential equivalence suite: the event-driven scheduler core,
-//! the legacy scan core, and the sharded two-phase core against each
-//! other.
+//! Differential equivalence suite: the event-driven scheduler core
+//! against the legacy scan core.
 //!
 //! [`CoreSpec`] selects how a run executes — [`CoreSpec::Scan`] keeps
-//! the old every-tick-rederive loop alive solely as an oracle,
-//! [`CoreSpec::Sharded`] runs each tick as a parallel prepare phase
-//! over shard-partitioned fibers followed by a sequential canonical
-//! commit.  For every `(seed, workload, fleet shape)` and every
-//! `(shards, workers)` combination, all cores must produce
+//! the old every-tick-rederive loop alive solely as an oracle.  For
+//! every `(seed, workload, fleet shape)` both cores must produce
 //! **byte-identical** merged JSONL traces — same events, same order,
-//! same payloads — because each core is an execution-strategy change,
-//! not a semantics change.  Any divergence here is a bug in the event
-//! core's wake/ready bookkeeping, the fiber's cached-dispatch fast
-//! path, or the sharded core's speculation/commit protocol.
+//! same payloads — because the event core is an execution-strategy
+//! change, not a semantics change.  Any divergence here is a bug in the
+//! event core's wake/ready bookkeeping or the fiber's cached-dispatch
+//! fast path.
+//!
+//! Both cores step fibers through the same `CaseFiber::step`, so this
+//! suite cannot see a change to the fiber itself; the golden digests in
+//! `engine_golden_digests` pin that.
 
-use gridflow_engine::{CoreSpec, EngineSnapshot};
+use gridflow_engine::CoreSpec;
 use gridflow_harness::workload::{
     dinner_recovery_workload, dinner_workload, DurationProfile, GraphShape, Workload, WorkloadGen,
 };
-use gridflow_harness::{EngineSpec, FaultPlan, MultiCaseScenario};
+use gridflow_harness::{FaultPlan, MultiCaseScenario};
 use gridflow_store::{merged_jsonl, MemStore, Store};
 use proptest::prelude::*;
 use std::sync::{Arc, Mutex};
@@ -29,12 +29,10 @@ fn jsonl(
     cases: usize,
     in_flight: usize,
     core: CoreSpec,
-    workers: usize,
 ) -> String {
     MultiCaseScenario::new(plan, wl, cases)
         .max_in_flight(in_flight)
         .core(core)
-        .workers(workers)
         .traced()
         .run()
         .trace
@@ -43,137 +41,59 @@ fn jsonl(
 }
 
 fn assert_cores_agree(plan: &FaultPlan, wl: &Workload, cases: usize, in_flight: usize, what: &str) {
-    let event = jsonl(plan, wl, cases, in_flight, CoreSpec::Event, 1);
-    let scan = jsonl(plan, wl, cases, in_flight, CoreSpec::Scan, 1);
+    let event = jsonl(plan, wl, cases, in_flight, CoreSpec::Event);
+    let scan = jsonl(plan, wl, cases, in_flight, CoreSpec::Scan);
     assert!(!event.is_empty(), "{what}: empty trace");
     assert_eq!(event, scan, "cores diverged on {what}");
 }
 
-/// The tentpole sweep: for four qualitatively different fleet shapes
-/// (clean, contended, mid-schedule node loss, recovery ladder), the
-/// sharded core at every shards ∈ {1, 2, 8} × workers ∈ {1, 8}
-/// combination must reproduce the event core's merged trace
-/// byte-for-byte — and the scan oracle's too.
+/// The scan oracle has no store or kill support, so a store-bound or
+/// killed run selects the event core whatever core is configured: the
+/// kill lands, the durable log is the event core's, and recovery
+/// converges on the uninterrupted run.
 #[test]
-fn sharded_cores_trace_identically_at_every_shard_and_worker_count() {
-    let shapes: Vec<(&str, FaultPlan, Workload, usize, usize)> = vec![
-        ("clean", FaultPlan::default(), dinner_workload(), 6, 4),
-        (
-            "contended",
-            FaultPlan::seeded(5).losing_node("ac-h1", 0),
-            dinner_workload(),
-            4,
-            4,
-        ),
-        (
-            "node-loss",
-            FaultPlan::seeded(7)
-                .failing_activities(0.1)
-                .losing_node("ac-h2", 3),
-            dinner_workload(),
-            3,
-            3,
-        ),
-        (
-            "recovery-ladder",
-            FaultPlan::seeded(13)
-                .failing_activities(0.3)
-                .transient_failures(),
-            dinner_recovery_workload(),
-            3,
-            2,
-        ),
-    ];
-    for (what, plan, wl, cases, in_flight) in shapes {
-        let baseline = jsonl(&plan, &wl, cases, in_flight, CoreSpec::Event, 1);
-        assert!(!baseline.is_empty(), "{what}: empty baseline trace");
-        let scan = jsonl(&plan, &wl, cases, in_flight, CoreSpec::Scan, 1);
-        assert_eq!(baseline, scan, "{what}: event vs scan diverged");
-        for shards in [1usize, 2, 8] {
-            for workers in [1usize, 8] {
-                let sharded = jsonl(
-                    &plan,
-                    &wl,
-                    cases,
-                    in_flight,
-                    CoreSpec::Sharded { shards },
-                    workers,
-                );
-                assert_eq!(
-                    baseline, sharded,
-                    "{what}: sharded(shards={shards}, workers={workers}) diverged from event core"
-                );
-            }
-        }
-    }
-}
-
-/// Crash/recover under the sharded core: kill at every tick, recover
-/// (still sharded, still parallel), and prove the stored prefix plus
-/// the regenerated suffix is byte-identical to the uninterrupted event
-/// core's trace.  Along the way, decode every snapshot the crashed run
-/// captured and check each live case's persisted shard assignment
-/// round-trips as `submission index % shards`.
-#[test]
-fn sharded_kill_at_every_tick_recovers_byte_identically() {
-    let shards = 8usize;
+fn store_bound_and_killed_runs_use_the_event_core_under_scan() {
     let wl = dinner_workload();
     let plan = FaultPlan::seeded(7).failing_activities(0.2);
-    let spec = || {
-        EngineSpec::default()
-            .max_in_flight(2)
-            .core(CoreSpec::Sharded { shards })
-            .workers(8)
-    };
-    let baseline = MultiCaseScenario::new(&plan, &wl, 4)
-        .spec(spec())
-        .traced()
-        .run();
-    let baseline_jsonl = baseline.trace.expect("traced").to_jsonl();
-    assert!(baseline.engine.ticks > 4, "fixture too small");
-
-    for kill in 0..baseline.engine.ticks {
+    let crashed = |core: CoreSpec| {
         let store: Arc<Mutex<dyn Store>> = Arc::new(Mutex::new(MemStore::new()));
-        let crashed = MultiCaseScenario::new(&plan, &wl, 4)
-            .spec(spec().store(store.clone(), 2).kill_at(kill))
+        let outcome = MultiCaseScenario::new(&plan, &wl, 4)
+            .max_in_flight(2)
+            .core(core)
+            .store(store.clone(), 2)
+            .kill_at(3)
             .run();
-        assert!(crashed.engine.killed, "kill@{kill}: run should have died");
+        (outcome, store)
+    };
+    let (event, event_store) = crashed(CoreSpec::Event);
+    let (scan, scan_store) = crashed(CoreSpec::Scan);
+    assert!(event.engine.killed);
+    assert!(scan.engine.killed, "the scan core ignored kill_at");
+    assert_eq!(scan.engine.ticks, event.engine.ticks);
+    let stored = |store: &Arc<Mutex<dyn Store>>| {
+        let guard = store.lock().unwrap();
+        (
+            merged_jsonl(&guard.replay_from(0).unwrap()),
+            guard.snapshot_count(),
+        )
+    };
+    let (scan_log, scan_snapshots) = stored(&scan_store);
+    assert!(!scan_log.is_empty(), "the scan core ignored the store");
+    assert!(scan_snapshots > 0, "the scan core took no snapshots");
+    assert_eq!((scan_log, scan_snapshots), stored(&event_store));
 
-        // Every snapshot the crashed run persisted must stamp each live
-        // case with its shard, and the stamp must be index % shards.
-        {
-            let guard = store.lock().unwrap();
-            if let Some(rec) = guard.latest_snapshot().expect("snapshot read") {
-                let image = EngineSnapshot::from_bytes(&rec.state).expect("snapshot decodes");
-                assert!(
-                    image.core.is_sharded(),
-                    "kill@{kill}: snapshot lost the core spec"
-                );
-                for slot in &image.live {
-                    assert_eq!(
-                        slot.shard,
-                        Some(slot.index % shards),
-                        "kill@{kill}: shard assignment did not round-trip"
-                    );
-                }
-            }
-        }
-
-        let recovered = MultiCaseScenario::new(&plan, &wl, 4)
-            .spec(spec().store(store.clone(), 2))
-            .recover()
-            .unwrap_or_else(|e| panic!("kill@{kill}: recovery failed: {e}"));
-        assert!(!recovered.engine.killed);
-        assert_eq!(
-            recovered.engine.cases, baseline.engine.cases,
-            "kill@{kill}: recovered outcomes diverged"
-        );
-        let merged = merged_jsonl(&store.lock().unwrap().replay_from(0).unwrap());
-        assert_eq!(
-            merged, baseline_jsonl,
-            "kill@{kill}: stored prefix + regenerated suffix diverged"
-        );
-    }
+    let baseline = jsonl(&plan, &wl, 4, 2, CoreSpec::Scan);
+    let recovered = MultiCaseScenario::new(&plan, &wl, 4)
+        .max_in_flight(2)
+        .core(CoreSpec::Scan)
+        .store(scan_store.clone(), 2)
+        .recover()
+        .expect("recovery");
+    assert!(!recovered.engine.killed);
+    assert_eq!(
+        merged_jsonl(&scan_store.lock().unwrap().replay_from(0).unwrap()),
+        baseline
+    );
 }
 
 /// The headline sweep: 32 seeds of flaky fleets with a queueing
@@ -248,9 +168,8 @@ fn mid_schedule_node_loss_traces_identically_on_both_cores() {
 
 /// The recovery ladder (retry/lease/breaker) runs inside the fiber's
 /// full dispatch path on every step — recovery-enabled fibers must
-/// never take the cached fast path (nor accept a speculative prepare
-/// ranking), and the ladder's emissions must land in the same ticks on
-/// every core.
+/// never take the cached fast path, and the ladder's emissions must
+/// land in the same ticks on both cores.
 #[test]
 fn recovery_ladder_fleets_trace_identically_on_both_cores() {
     let wl = dinner_recovery_workload();
@@ -274,29 +193,13 @@ fn refused_fleets_trace_identically_on_both_cores() {
     assert_cores_agree(&plan, &wl, 3, 2, "refused fleet");
 }
 
-/// Worker-count invariance holds on the scan core (pinned since the
-/// engine landed) — and therefore on the event core too, transitively
-/// through the core-equivalence sweep above.  Pin a three-way
-/// composition anyway: event core at 8 workers == scan core at 1
-/// worker == sharded core at 8 shards and 8 workers.
+/// The nightly chaos sweep: 32 seeds of fleets under node loss *and*
+/// partition windows *and* flaky activities, each checked event core
+/// against scan oracle.  The tier-1 slices of this are the partition,
+/// node-loss and flaky-fleet tests above.
 #[test]
-fn worker_counts_and_cores_compose_without_perturbing_the_trace() {
-    let wl = dinner_workload();
-    let plan = FaultPlan::seeded(17).failing_activities(0.2);
-    let event_w8 = jsonl(&plan, &wl, 5, 3, CoreSpec::Event, 8);
-    let scan_w1 = jsonl(&plan, &wl, 5, 3, CoreSpec::Scan, 1);
-    let sharded = jsonl(&plan, &wl, 5, 3, CoreSpec::Sharded { shards: 8 }, 8);
-    assert_eq!(event_w8, scan_w1, "event@8 workers diverged from scan@1");
-    assert_eq!(event_w8, sharded, "sharded 8x8 diverged from event@8");
-}
-
-/// The nightly chaos sweep: 32 seeds of sharded fleets under node loss
-/// *and* partition windows, each checked against the event core's
-/// bytes at shards ∈ {2, 8} × workers ∈ {1, 8}.  The tier-1 slice of
-/// this is `sharded_cores_trace_identically_at_every_shard_and_worker_count`.
-#[test]
-#[ignore = "nightly: 32-seed sharded chaos equivalence sweep"]
-fn nightly_sharded_chaos_seed_sweep() {
+#[ignore = "nightly: 32-seed core chaos equivalence sweep"]
+fn nightly_core_chaos_seed_sweep() {
     for seed in 0..32u64 {
         let (wl, cases, in_flight) = if seed % 3 == 0 {
             (dinner_recovery_workload(), 3, 2)
@@ -315,24 +218,7 @@ fn nightly_sharded_chaos_seed_sweep() {
                 1 + seed % 3,
                 4 + seed % 4,
             );
-        let baseline = jsonl(&plan, &wl, cases, in_flight, CoreSpec::Event, 1);
-        assert!(!baseline.is_empty(), "seed {seed}: empty trace");
-        for shards in [2usize, 8] {
-            for workers in [1usize, 8] {
-                let sharded = jsonl(
-                    &plan,
-                    &wl,
-                    cases,
-                    in_flight,
-                    CoreSpec::Sharded { shards },
-                    workers,
-                );
-                assert_eq!(
-                    baseline, sharded,
-                    "seed {seed}: sharded(shards={shards}, workers={workers}) diverged"
-                );
-            }
-        }
+        assert_cores_agree(&plan, &wl, cases, in_flight, &format!("chaos seed {seed}"));
     }
 }
 
@@ -371,25 +257,15 @@ proptest! {
 
     /// The generator-driven sweep: for any sampled (seed, shape, width,
     /// depth, duration, capacity profile), every core must produce
-    /// byte-identical merged JSONL — the event core across worker
-    /// counts, the scan oracle, and the sharded core at 4 shards.
+    /// byte-identical merged JSONL on the event core and the scan
+    /// oracle.
     #[test]
     fn generated_workloads_trace_identically_on_all_cores(gen in workload_gen()) {
         let wl = gen.build();
         let plan = FaultPlan::default();
-        let combos = [
-            (CoreSpec::Event, 1),
-            (CoreSpec::Scan, 1),
-            (CoreSpec::Event, 8),
-            (CoreSpec::Sharded { shards: 4 }, 8),
-        ];
-        let traces: Vec<String> = combos
-            .iter()
-            .map(|&(core, workers)| jsonl(&plan, &wl, 3, 2, core, workers))
-            .collect();
-        prop_assert!(!traces[0].is_empty(), "{}: empty trace", wl.name);
-        prop_assert_eq!(&traces[0], &traces[1], "event vs scan diverged on {}", wl.name);
-        prop_assert_eq!(&traces[0], &traces[2], "workers 1 vs 8 diverged on {}", wl.name);
-        prop_assert_eq!(&traces[0], &traces[3], "sharded core diverged on {}", wl.name);
+        let event = jsonl(&plan, &wl, 3, 2, CoreSpec::Event);
+        prop_assert!(!event.is_empty(), "{}: empty trace", wl.name);
+        let scan = jsonl(&plan, &wl, 3, 2, CoreSpec::Scan);
+        prop_assert_eq!(&event, &scan, "event vs scan diverged on {}", wl.name);
     }
 }

@@ -21,7 +21,7 @@ use gridflow_harness::workload::{
     cook_loss_churn_plan, cook_loss_churn_plan_scaled, dinner_replan_workload,
     dinner_replan_workload_scaled, dinner_world,
 };
-use gridflow_harness::{FaultPlan, MultiCaseScenario, TraceQuery, Workload};
+use gridflow_harness::{MultiCaseScenario, TraceQuery, Workload};
 use gridflow_planner::prelude::GpConfig;
 use gridflow_planner::GoalSpec;
 use gridflow_services::{PlanCacheHandle, PlanRequest, PlanningService};
@@ -34,14 +34,12 @@ use std::sync::{Arc, Condvar, Mutex};
 /// problem (goal `Plated`, produced `Prepped`, excluded `cook`).
 fn churn_records(
     fleet: usize,
-    workers: usize,
     core: CoreSpec,
     cache: Option<&PlanCacheHandle>,
 ) -> Vec<TraceRecord> {
     let plan = cook_loss_churn_plan(23);
     let wl = dinner_replan_workload(11);
     let mut scenario = MultiCaseScenario::new(&plan, &wl, fleet)
-        .workers(workers)
         .core(core)
         .max_in_flight(fleet)
         .traced();
@@ -78,21 +76,16 @@ fn essence(records: &[TraceRecord]) -> Vec<(u64, String, String, TraceEvent)> {
 #[test]
 fn warm_trace_differs_from_cold_only_in_cache_events() {
     const FLEET: usize = 6;
-    for (workers, core) in [
-        (1, CoreSpec::Event),
-        (8, CoreSpec::Event),
-        (1, CoreSpec::Sharded { shards: 4 }),
-        (8, CoreSpec::Sharded { shards: 4 }),
-    ] {
-        let disabled = churn_records(FLEET, workers, core, None);
+    for core in [CoreSpec::Event, CoreSpec::Scan] {
+        let disabled = churn_records(FLEET, core, None);
         let cache = PlanCacheHandle::in_proc();
-        let cold = churn_records(FLEET, workers, core, Some(&cache));
-        let warm = churn_records(FLEET, workers, core, Some(&cache));
+        let cold = churn_records(FLEET, core, Some(&cache));
+        let warm = churn_records(FLEET, core, Some(&cache));
 
         // Cold: the first replan runs GP, the rest of the fleet hits
         // the entry it published.  Warm: everyone hits.
         let cold_q = TraceQuery::new(cold.clone());
-        assert_eq!(cold_q.plan_runs(), 1, "workers={workers} core={core:?}");
+        assert_eq!(cold_q.plan_runs(), 1, "core={core:?}");
         assert_eq!(cold_q.plan_cache_hits(), FLEET - 1);
         cold_q.assert_plans_at_most_once_per_key();
         let warm_q = TraceQuery::new(warm.clone());
@@ -131,23 +124,14 @@ fn warm_trace_differs_from_cold_only_in_cache_events() {
 }
 
 #[test]
-fn churn_traces_are_identical_across_workers_and_cores() {
+fn churn_traces_are_identical_across_cores() {
     const FLEET: usize = 6;
-    let combos = [
-        (1, CoreSpec::Event),
-        (8, CoreSpec::Event),
-        (1, CoreSpec::Sharded { shards: 4 }),
-        (8, CoreSpec::Sharded { shards: 4 }),
-    ];
-    let reference_cold =
-        churn_records(FLEET, 1, CoreSpec::Event, Some(&PlanCacheHandle::in_proc()));
-    for (workers, core) in combos {
-        let cold = churn_records(FLEET, workers, core, Some(&PlanCacheHandle::in_proc()));
-        assert_eq!(
-            cold, reference_cold,
-            "cold churn diverged at workers={workers} core={core:?}"
-        );
-    }
+    let cold = |core| churn_records(FLEET, core, Some(&PlanCacheHandle::in_proc()));
+    assert_eq!(
+        cold(CoreSpec::Event),
+        cold(CoreSpec::Scan),
+        "cold churn diverged on the scan core"
+    );
 }
 
 // ------------------------------------------------------------------ 2
@@ -306,7 +290,7 @@ fn disabled_cache_fleet_still_replans_per_case() {
     // Without a cache every case runs its own GP — the legacy behavior
     // the cache exists to collapse.  `plan_runs` falls back to counting
     // generation-zero events when no cache events exist.
-    let records = churn_records(3, 1, CoreSpec::Event, None);
+    let records = churn_records(3, CoreSpec::Event, None);
     let q = TraceQuery::new(records);
     assert_eq!(q.plan_runs(), 3);
     assert_eq!(q.plan_cache_hits(), 0);
@@ -315,17 +299,27 @@ fn disabled_cache_fleet_still_replans_per_case() {
 
 #[test]
 fn scenario_spec_carries_the_plan_cache() {
-    use gridflow_harness::EngineSpec;
-    let plan = FaultPlan::seeded(1);
+    // A configured scenario is the run's whole specification: a clone
+    // of it shares the same cache handle, so the clone's fleet finds
+    // the entry the original's fleet published.
+    const FLEET: usize = 3;
+    let plan = cook_loss_churn_plan(23);
     let wl = dinner_replan_workload(11);
     let cache = PlanCacheHandle::in_proc();
-    let spec = EngineSpec::default().plan_cache(cache.clone());
-    // A spec-built scenario and a builder-built one behave identically:
-    // no faults, so no replans, so the cache stays empty either way.
-    let via_spec = MultiCaseScenario::new(&plan, &wl, 2)
-        .spec(spec)
-        .traced()
-        .run();
-    assert!(via_spec.engine.all_succeeded());
-    assert!(cache.is_empty(), "no replans — nothing to cache");
+    let spec = MultiCaseScenario::new(&plan, &wl, FLEET)
+        .max_in_flight(FLEET)
+        .plan_cache(cache.clone())
+        .traced();
+    let first = spec.clone().run();
+    assert!(first.engine.all_succeeded());
+    assert_eq!(
+        TraceQuery::new(first.trace.expect("traced").records()).plan_runs(),
+        1
+    );
+    assert!(!cache.is_empty(), "the first fleet published its plan");
+    let again = spec.run();
+    assert!(again.engine.all_succeeded());
+    let q = TraceQuery::new(again.trace.expect("traced").records());
+    assert_eq!(q.plan_runs(), 0, "the clone must reuse the shared cache");
+    assert_eq!(q.plan_cache_hits(), FLEET);
 }

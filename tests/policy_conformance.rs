@@ -14,9 +14,10 @@
 //!    same-tick admissions across tenants instead of letting one
 //!    tenant's burst starve the rest.
 //! 3. **Every policy is deterministic.**  Same fleet, same policy ⇒
-//!    byte-identical merged JSONL at any worker count.
+//!    byte-identical merged JSONL on the event core and the scan
+//!    oracle.
 
-use gridflow_engine::{CaseHints, PolicySpec};
+use gridflow_engine::{CaseHints, CoreSpec, PolicySpec};
 use gridflow_harness::workload::dinner_workload;
 use gridflow_harness::{FaultPlan, MultiCaseScenario, TraceQuery};
 use std::collections::BTreeMap;
@@ -155,22 +156,27 @@ fn fair_share_spreads_same_tick_admissions_across_tenants() {
 // ------------------------------------------------------------------ 3
 
 #[test]
-fn every_policy_is_worker_count_invariant() {
+fn every_policy_traces_identically_on_both_cores() {
     let wl = dinner_workload();
     let plan = FaultPlan::default();
     for policy in PolicySpec::ALL {
-        let run = |workers: usize| {
+        let run = |core: CoreSpec| {
             jsonl(
                 MultiCaseScenario::new(&plan, &wl, 5)
                     .max_in_flight(2)
-                    .workers(workers)
+                    .core(core)
                     .policy(policy)
                     .case_hints(staggered_priority),
             )
         };
-        let w1 = run(1);
-        assert!(!w1.is_empty());
-        assert_eq!(w1, run(8), "{} diverged at workers=8", policy.name());
+        let event = run(CoreSpec::Event);
+        assert!(!event.is_empty());
+        assert_eq!(
+            event,
+            run(CoreSpec::Scan),
+            "{} diverged on the scan core",
+            policy.name()
+        );
     }
 }
 

@@ -14,8 +14,9 @@
 //!    happens-before order;
 //! 5. engine-plane partition windows cut the named containers for
 //!    exactly `[from_tick, heal_tick)`, emit their boundary events
-//!    once, and stay invariant under worker count.
+//!    once, and trace identically on the event and scan cores.
 
+use gridflow_engine::CoreSpec;
 use gridflow_harness::workload::{dinner_recovery_workload, dinner_workload};
 use gridflow_harness::{
     outcome_fingerprint, BreakerConfig, FaultPlan, MultiCaseScenario, RemoteMirror, Scenario,
@@ -205,7 +206,7 @@ fn partition_heal_walks_the_breaker_open_half_open_closed() {
 // ----------------------------------------------------------------- 5
 
 #[test]
-fn engine_partition_window_emits_boundaries_and_stays_worker_invariant() {
+fn engine_partition_window_emits_boundaries_and_stays_core_invariant() {
     // `ac-h4` hosts only `nuke`, the unused alternative cooker, so the
     // fleet's outcome is untouched — what's under test is the window's
     // bookkeeping.
@@ -225,19 +226,17 @@ fn engine_partition_window_emits_boundaries_and_stays_worker_invariant() {
         |e| e.label() == "transport.healed",
     );
 
-    // The merged trace is a pure function of the plan — worker count
-    // cannot move a partition boundary by one byte.
-    for workers in [2, 8] {
-        let again = MultiCaseScenario::new(&plan, &wl, 3)
-            .workers(workers)
-            .traced()
-            .run();
-        assert_eq!(
-            log.to_jsonl(),
-            again.trace.unwrap().to_jsonl(),
-            "partition trace diverged at {workers} workers"
-        );
-    }
+    // The merged trace is a pure function of the plan — the scan
+    // oracle cannot move a partition boundary by one byte.
+    let scan = MultiCaseScenario::new(&plan, &wl, 3)
+        .core(CoreSpec::Scan)
+        .traced()
+        .run();
+    assert_eq!(
+        log.to_jsonl(),
+        scan.trace.unwrap().to_jsonl(),
+        "partition trace diverged on the scan core"
+    );
 }
 
 #[test]
@@ -278,7 +277,7 @@ fn recovery_fleet_completes_across_a_partition_heal_window_over_tcp() {
 // ------------------------------------------------------------ nightly
 
 /// 32-seed partition/chaos sweep: replay byte-identity, partition
-/// discipline and worker invariance across randomized windows.  Run
+/// discipline and core invariance across randomized windows.  Run
 /// with `cargo test -- --ignored nightly_partition_chaos_seed_sweep`.
 #[test]
 #[ignore = "nightly: 32-seed partition/chaos sweep"]
@@ -308,14 +307,14 @@ fn nightly_partition_chaos_seed_sweep() {
             replay.trace.unwrap().to_jsonl(),
             "seed {seed}: replay diverged"
         );
-        let wide = MultiCaseScenario::new(&plan, &wl, 3)
-            .workers(4)
+        let scan = MultiCaseScenario::new(&plan, &wl, 3)
+            .core(CoreSpec::Scan)
             .traced()
             .run();
         assert_eq!(
             log.to_jsonl(),
-            wide.trace.unwrap().to_jsonl(),
-            "seed {seed}: worker count perturbed the trace"
+            scan.trace.unwrap().to_jsonl(),
+            "seed {seed}: the scan core perturbed the trace"
         );
     }
 }

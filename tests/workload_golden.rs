@@ -12,20 +12,21 @@
 //!    hosts.
 //! 2. **The generator is seed-deterministic.**  The same knobs produce
 //!    a byte-identical [`Workload`] (via [`Workload::fingerprint`]),
-//!    and under FIFO admission a byte-identical merged JSONL trace at
-//!    workers 1, 2, and 8.
+//!    and under FIFO admission a byte-identical merged JSONL trace on
+//!    every run and on both cores.
 //!
 //! [`Workload`]: gridflow_harness::workload::Workload
 //! [`Workload::fingerprint`]: gridflow_harness::workload::Workload::fingerprint
 
+use gridflow_engine::CoreSpec;
 use gridflow_harness::workload::{
     virus_reconstruction_workload, DurationProfile, GraphShape, Workload, WorkloadGen,
 };
 use gridflow_harness::{FaultPlan, MultiCaseScenario, TraceEvent, TraceQuery};
 
-fn traced_run(wl: &Workload, cases: usize, workers: usize) -> (TraceQuery, String) {
+fn traced_run(wl: &Workload, cases: usize, core: CoreSpec) -> (TraceQuery, String) {
     let outcome = MultiCaseScenario::new(&FaultPlan::default(), wl, cases)
-        .workers(workers)
+        .core(core)
         .traced()
         .run();
     assert!(
@@ -52,7 +53,7 @@ fn dispatched(activity: &'static str) -> impl FnMut(&TraceEvent) -> bool {
 #[test]
 fn virus_trace_respects_the_pipelines_happens_before_edges() {
     let wl = virus_reconstruction_workload();
-    let (q, _) = traced_run(&wl, 1, 1);
+    let (q, _) = traced_run(&wl, 1, CoreSpec::Event);
     // The one-shot prefix runs exactly once; only the refinement loop's
     // body (POR, P3DR2/3/4, PSF) may legitimately re-dispatch, once per
     // pass.  (`check_no_double_dispatch` is the crash/resume invariant
@@ -117,14 +118,20 @@ fn virus_p3dr_fan_out_branches_dispatch_concurrently() {
 }
 
 #[test]
-fn virus_trace_is_identical_across_worker_counts() {
+fn virus_trace_is_identical_across_runs_and_cores() {
     let wl = virus_reconstruction_workload();
-    let (_, w1) = traced_run(&wl, 2, 1);
-    let (_, w2) = traced_run(&wl, 2, 2);
-    let (_, w8) = traced_run(&wl, 2, 8);
-    assert!(!w1.is_empty());
-    assert_eq!(w1, w2, "virus fleet diverged at workers=2");
-    assert_eq!(w1, w8, "virus fleet diverged at workers=8");
+    let (_, event) = traced_run(&wl, 2, CoreSpec::Event);
+    assert!(!event.is_empty());
+    assert_eq!(
+        event,
+        traced_run(&wl, 2, CoreSpec::Event).1,
+        "replay diverged"
+    );
+    assert_eq!(
+        event,
+        traced_run(&wl, 2, CoreSpec::Scan).1,
+        "virus fleet diverged on the scan core"
+    );
 }
 
 // ------------------------------------------- generator determinism
@@ -152,15 +159,15 @@ fn same_knobs_build_byte_identical_workloads() {
 }
 
 #[test]
-fn generated_workloads_trace_identically_across_worker_counts() {
+fn generated_workloads_trace_identically_across_runs_and_cores() {
     for shape in GraphShape::ALL {
         let wl = WorkloadGen::new(19).shape(shape).width(2).depth(2).build();
-        let (_, w1) = traced_run(&wl, 3, 1);
-        let (_, w2) = traced_run(&wl, 3, 2);
-        let (_, w8) = traced_run(&wl, 3, 8);
-        assert!(!w1.is_empty(), "{}: empty trace", wl.name);
-        assert_eq!(w1, w2, "{} diverged at workers=2", wl.name);
-        assert_eq!(w1, w8, "{} diverged at workers=8", wl.name);
+        let (_, event) = traced_run(&wl, 3, CoreSpec::Event);
+        assert!(!event.is_empty(), "{}: empty trace", wl.name);
+        let (_, replay) = traced_run(&wl, 3, CoreSpec::Event);
+        assert_eq!(event, replay, "{} replay diverged", wl.name);
+        let (_, scan) = traced_run(&wl, 3, CoreSpec::Scan);
+        assert_eq!(event, scan, "{} diverged on the scan core", wl.name);
     }
 }
 

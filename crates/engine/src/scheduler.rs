@@ -3,7 +3,8 @@
 
 use crate::policy::{AdmissionPolicy, CaseHints, PolicySpec, WaitingCase};
 use crate::snapshot::{
-    AdmissionRecord, BlueprintPool, EngineSnapshot, FinishedImage, SlotImage, WaitingImage,
+    AdmissionRecord, BlueprintPool, EngineSnapshot, FiberSlim, FinishedJson, SlotImage,
+    WaitingImage,
 };
 use gridflow_process::{ActivityKind, CaseDescription, ProcessGraph};
 use gridflow_services::matchmaking::{matchmake, MatchRequest};
@@ -280,6 +281,11 @@ struct EventState {
     /// boundary — the wake signal for capacity waiters.
     freed: Vec<String>,
     last_generation: u64,
+    /// `finished`, encoded for the snapshot payload so far.  `finished`
+    /// only grows during a run, so each outcome is encoded once, when
+    /// the first snapshot after its finish is taken.  A restored run
+    /// starts with none encoded.
+    finished_json: FinishedJson,
 }
 
 /// The multi-case enactment engine.
@@ -339,6 +345,12 @@ impl CaseScheduler {
     }
 
     /// Enact every submitted case to completion.
+    ///
+    /// # Panics
+    ///
+    /// If the [`EngineConfig::store`] rejects a journal flush or a
+    /// snapshot (an I/O error, or a divergence from what it holds).
+    /// [`CaseScheduler::recover`] returns those as errors instead.
     pub fn run(&mut self, world: &mut GridWorld) -> EngineOutcome {
         self.run_with(world, |_, _| {})
     }
@@ -355,6 +367,10 @@ impl CaseScheduler {
     /// or kill support, so a run with [`EngineConfig::store`] or
     /// [`EngineConfig::kill_at`] set runs the event core whatever the
     /// configured core, exactly as [`CaseScheduler::recover`] does.
+    ///
+    /// # Panics
+    ///
+    /// As [`CaseScheduler::run`].
     pub fn run_with(
         &mut self,
         world: &mut GridWorld,
@@ -363,7 +379,9 @@ impl CaseScheduler {
         let durable = self.config.store.is_some() || self.config.kill_at.is_some();
         match self.config.core {
             CoreSpec::Scan if !durable => self.run_scan(world, on_tick),
-            _ => self.run_event(world, on_tick),
+            _ => self
+                .run_event(world, on_tick)
+                .unwrap_or_else(|e| panic!("durable store rejected the run: {e}")),
         }
     }
 
@@ -552,7 +570,7 @@ impl CaseScheduler {
         &mut self,
         world: &mut GridWorld,
         on_tick: impl FnMut(u64, &mut GridWorld),
-    ) -> EngineOutcome {
+    ) -> StoreResult<EngineOutcome> {
         let specs = std::mem::take(&mut self.pending);
         let last_generation = world.generation();
         let st = EventState {
@@ -564,6 +582,7 @@ impl CaseScheduler {
             admissions: Vec::new(),
             freed: Vec::new(),
             last_generation,
+            finished_json: FinishedJson::default(),
         };
         self.run_event_loop(world, on_tick, st)
     }
@@ -581,6 +600,9 @@ impl CaseScheduler {
     /// *re-executed*, not skipped: the store byte-verifies every
     /// regenerated event against what it already holds, so a successful
     /// recovery is a proof the rebuilt state matches the crashed run's.
+    /// A store rejecting any flush or snapshot of the resumed run — a
+    /// divergence from what it holds, or an I/O error — ends the run
+    /// and comes back as that [`StoreError`].
     ///
     /// The caller must have reseeded [`StoreBinding::journal`] at the
     /// snapshot's `journal_seq` (via [`TraceLog::resuming`] and a clock
@@ -621,7 +643,7 @@ impl CaseScheduler {
                     binding.journal.next_seq()
                 )));
             }
-            return Ok(self.run_event(world, on_tick));
+            return self.run_event(world, on_tick);
         };
         if binding.journal.next_seq() != record.journal_seq {
             return Err(StoreError::Corrupt(format!(
@@ -658,15 +680,27 @@ impl CaseScheduler {
                 hints: &a.hints,
             });
         }
+        // One Arc per blueprint, shared by the waiting specs and the
+        // restored fibers alike, as the original submissions shared
+        // theirs — so later captures intern them by pointer.
+        let shared: Vec<_> = image
+            .blueprints
+            .into_iter()
+            .map(|b| (b.graph, Arc::new(b.case), b.config))
+            .collect();
         let mut live = Vec::new();
         for slot in image.live {
             let index = slot.index;
-            let Some(fiber_image) = slot.fiber.hydrate(&image.blueprints) else {
+            let FiberSlim { blueprint, image } = slot.fiber;
+            let Some((graph, case, config)) = shared.get(blueprint) else {
                 return Err(StoreError::Corrupt(format!(
                     "live case {index} references a blueprint past the pool"
                 )));
             };
-            let trace = self.scoped_trace(&fiber_image.label);
+            let trace = self.scoped_trace(&image.label);
+            let mut fiber =
+                CaseFiber::from_image(image, graph.clone(), case.clone(), config.clone(), trace);
+            self.install_plan_cache(&mut fiber);
             live.push(EventSlot {
                 wait: match slot.blockers {
                     None => WaitState::Ready,
@@ -674,23 +708,12 @@ impl CaseScheduler {
                 },
                 slot: Slot {
                     index,
-                    fiber: {
-                        let mut fiber = CaseFiber::from_image(fiber_image, trace);
-                        self.install_plan_cache(&mut fiber);
-                        fiber
-                    },
+                    fiber,
                     admitted_tick: slot.admitted_tick,
                     blocked_ticks: slot.blocked_ticks,
                 },
             });
         }
-        // Re-share each blueprint's description behind one Arc, as the
-        // original submissions did.
-        let shared: Vec<_> = image
-            .blueprints
-            .into_iter()
-            .map(|b| (b.graph, Arc::new(b.case), b.config))
-            .collect();
         let mut waiting = VecDeque::new();
         for w in image.waiting {
             let Some((graph, case, config)) = shared.get(w.blueprint) else {
@@ -725,8 +748,9 @@ impl CaseScheduler {
             admissions: image.admissions,
             freed: image.freed,
             last_generation: image.last_generation,
+            finished_json: FinishedJson::default(),
         };
-        Ok(self.run_event_loop(world, on_tick, st))
+        self.run_event_loop(world, on_tick, st)
     }
 
     /// The event loop proper, driving an [`EventState`] that is either
@@ -738,12 +762,32 @@ impl CaseScheduler {
     fn run_event_loop(
         &mut self,
         world: &mut GridWorld,
-        mut on_tick: impl FnMut(u64, &mut GridWorld),
+        on_tick: impl FnMut(u64, &mut GridWorld),
         mut st: EventState,
-    ) -> EngineOutcome {
+    ) -> StoreResult<EngineOutcome> {
         let reservations_before = world.reservations_enabled();
         world.enable_reservations(self.config.enforce_reservations);
+        let killed = self.tick_loop(world, on_tick, &mut st);
+        world.enable_reservations(reservations_before);
+        let killed = killed?;
+        st.finished.sort_by_key(|(index, _)| *index);
+        Ok(EngineOutcome {
+            cases: st.finished.into_iter().map(|(_, c)| c).collect(),
+            ticks: st.tick.max(1),
+            killed,
+        })
+    }
 
+    /// Tick `st` until every case has finished, the tick budget runs
+    /// out or [`EngineConfig::kill_at`] fires; `Ok(true)` if it fired.
+    /// A store rejecting a flush or a snapshot ends the loop with its
+    /// error.
+    fn tick_loop(
+        &mut self,
+        world: &mut GridWorld,
+        mut on_tick: impl FnMut(u64, &mut GridWorld),
+        st: &mut EventState,
+    ) -> StoreResult<bool> {
         let binding = self.config.store.clone();
         let mut flush_cursor = binding.as_ref().map_or(0, |b| b.journal.next_seq());
         let mut killed = false;
@@ -920,7 +964,7 @@ impl CaseScheduler {
             // Durable boundary: everything emitted through the end of
             // this tick reaches the store before the next tick starts.
             if let Some(b) = &binding {
-                Self::flush_events(b, &mut flush_cursor);
+                Self::flush_events(b, &mut flush_cursor)?;
             }
 
             st.tick += 1;
@@ -963,21 +1007,16 @@ impl CaseScheduler {
             if let Some(b) = &binding {
                 if b.snapshot_every > 0 && st.tick.is_multiple_of(b.snapshot_every) {
                     let (clock_ticks, clock_s) = b.journal.clock_now();
-                    let image = Self::capture_snapshot(&st, world);
-                    let record = SnapshotRecord::new(
-                        st.tick,
-                        flush_cursor,
-                        clock_ticks,
-                        clock_s,
-                        image.to_bytes(),
-                    );
+                    for (index, outcome) in &st.finished[st.finished_json.len()..] {
+                        st.finished_json.push(*index, outcome);
+                    }
+                    let payload = Self::capture_snapshot(st, world).encode(&st.finished_json);
+                    let record =
+                        SnapshotRecord::new(st.tick, flush_cursor, clock_ticks, clock_s, payload);
                     b.store
                         .lock()
                         .expect("store mutex poisoned")
-                        .snapshot(record)
-                        .unwrap_or_else(|e| {
-                            panic!("durable store rejected an engine snapshot: {e}")
-                        });
+                        .snapshot(record)?;
                 }
             }
         }
@@ -987,27 +1026,19 @@ impl CaseScheduler {
         // final events (completion or budget-abort records).
         if !killed {
             if let Some(b) = &binding {
-                Self::flush_events(b, &mut flush_cursor);
+                Self::flush_events(b, &mut flush_cursor)?;
             }
         }
-
-        world.enable_reservations(reservations_before);
-        st.finished.sort_by_key(|(index, _)| *index);
-        EngineOutcome {
-            cases: st.finished.into_iter().map(|(_, c)| c).collect(),
-            ticks: st.tick.max(1),
-            killed,
-        }
+        Ok(killed)
     }
 
     /// Append every journal record at or past the cursor to the store,
-    /// advancing the cursor.  Store rejections are programming errors
-    /// (a divergence here means determinism itself broke), so they
-    /// panic rather than limp on with a corrupt log.
-    fn flush_events(binding: &StoreBinding, cursor: &mut u64) {
+    /// advancing the cursor.  A rejection (a divergence here means
+    /// determinism itself broke) is returned, never skipped.
+    fn flush_events(binding: &StoreBinding, cursor: &mut u64) -> StoreResult<()> {
         let records = binding.journal.records_from(*cursor);
         let Some(last) = records.last() else {
-            return;
+            return Ok(());
         };
         *cursor = last.seq + 1;
         binding
@@ -1015,12 +1046,13 @@ impl CaseScheduler {
             .lock()
             .expect("store mutex poisoned")
             .append(&records)
-            .unwrap_or_else(|e| panic!("durable store rejected a journal flush: {e}"));
     }
 
-    /// Freeze the loop state into its serializable image.  Waiting
-    /// specs are interned through a [`BlueprintPool`] so the shared
-    /// workload is stored once, not once per waiting case.
+    /// Freeze the loop state into its serializable image, less the
+    /// finished cases: the payload writer splices those in from
+    /// [`EventState::finished_json`].  Waiting specs and live fibers are
+    /// interned through a [`BlueprintPool`] so the shared workload is
+    /// stored once, not once per case.
     fn capture_snapshot(st: &EventState, world: &GridWorld) -> EngineSnapshot {
         let mut pool = BlueprintPool::default();
         let waiting = st
@@ -1030,22 +1062,28 @@ impl CaseScheduler {
                 index: *index,
                 label: spec.label.clone(),
                 hints: spec.hints.clone(),
-                blueprint: pool.intern(spec),
+                blueprint: pool.intern(&spec.graph, &spec.case, &spec.config),
             })
             .collect();
         let live = st
             .live
             .iter()
-            .map(|entry| SlotImage {
-                index: entry.slot.index,
-                admitted_tick: entry.slot.admitted_tick,
-                blocked_ticks: entry.slot.blocked_ticks,
-                blockers: match &entry.wait {
-                    WaitState::Ready => None,
-                    WaitState::Capacity { blockers } => Some(blockers.clone()),
-                },
-                shard: None,
-                fiber: pool.slim(entry.slot.fiber.image()),
+            .map(|entry| {
+                let (graph, case, config) = entry.slot.fiber.blueprint();
+                SlotImage {
+                    index: entry.slot.index,
+                    admitted_tick: entry.slot.admitted_tick,
+                    blocked_ticks: entry.slot.blocked_ticks,
+                    blockers: match &entry.wait {
+                        WaitState::Ready => None,
+                        WaitState::Capacity { blockers } => Some(blockers.clone()),
+                    },
+                    shard: None,
+                    fiber: FiberSlim {
+                        blueprint: pool.intern(graph, case, config),
+                        image: entry.slot.fiber.image(),
+                    },
+                }
             })
             .collect();
         EngineSnapshot {
@@ -1055,14 +1093,7 @@ impl CaseScheduler {
             blueprints: pool.into_entries(),
             waiting,
             live,
-            finished: st
-                .finished
-                .iter()
-                .map(|(index, outcome)| FinishedImage {
-                    index: *index,
-                    outcome: outcome.clone(),
-                })
-                .collect(),
+            finished: Vec::new(),
             admissions: st.admissions.clone(),
             freed: st.freed.clone(),
             last_generation: st.last_generation,

@@ -11,22 +11,21 @@
 //! [`SnapshotRecord`]: gridflow_store::SnapshotRecord
 
 use crate::policy::CaseHints;
-use crate::scheduler::{CaseOutcome, CaseSpec};
-use gridflow_process::{AtnSnapshot, CaseDescription, DataState, ProcessGraph};
-use gridflow_recovery::RecoveryState;
-use gridflow_services::{EnactmentConfig, EnactmentReport, FiberImage, PendingImage, WorldImage};
+use crate::scheduler::CaseOutcome;
+use gridflow_process::{CaseDescription, ProcessGraph};
+use gridflow_services::{EnactmentConfig, FiberImage, WorldImage};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// One distinct (graph, case description, config) triple, stored once
-/// per snapshot and referenced by index from [`WaitingImage`].
+/// per snapshot and referenced by index from [`WaitingImage`] and
+/// [`FiberSlim`].
 ///
 /// Fleet members share their blueprint (the scheduler's `submit` path
 /// hands every case the same `Arc<CaseDescription>`), so without this
-/// pool a snapshot would embed one full copy of the workload per
-/// waiting case — quadratic in fleet size, and the dominant snapshot
-/// cost for large fleets.
+/// pool a snapshot would embed one full copy of the workload per case —
+/// quadratic in fleet size, and the dominant snapshot cost for large
+/// fleets.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CaseBlueprint {
     /// The workflow to enact.
@@ -41,69 +40,52 @@ pub struct CaseBlueprint {
 #[derive(Debug, Default)]
 pub struct BlueprintPool {
     entries: Vec<CaseBlueprint>,
-    // Capture-time identity fast path: the `Arc<CaseDescription>`
-    // pointer each entry was first captured from.  Specs sharing that
-    // Arc still have their graph/config compared — the pointer only
-    // short-circuits the (potentially large) description comparison.
-    sources: Vec<*const CaseDescription>,
+    /// Every `Arc<CaseDescription>` interned so far, with the entry it
+    /// landed in.  A description is recognised by its pointer; the
+    /// graph and config are still compared, because a re-planned fiber
+    /// keeps its description but not its graph.
+    seen: Vec<(*const CaseDescription, usize)>,
 }
 
 impl BlueprintPool {
-    /// Intern `spec`'s blueprint, returning its pool index.
-    pub fn intern(&mut self, spec: &CaseSpec) -> usize {
-        self.intern_parts(
-            &spec.graph,
-            &spec.case,
-            &spec.config,
-            Arc::as_ptr(&spec.case),
-        )
-    }
-
-    /// Intern a live fiber's image, splitting its blueprint-shaped bulk
-    /// (graph, case, config) into the pool and returning the remainder.
-    /// A re-planned fiber's graph differs from its submission blueprint
-    /// and simply interns as a further pool entry.
-    pub fn slim(&mut self, fiber: FiberImage) -> FiberSlim {
-        let blueprint =
-            self.intern_parts(&fiber.graph, &fiber.case, &fiber.config, std::ptr::null());
-        FiberSlim {
-            blueprint,
-            label: fiber.label,
-            snapshot: fiber.snapshot,
-            prime_flow_base: fiber.prime_flow_base,
-            flow_base: fiber.flow_base,
-            state: fiber.state,
-            report: fiber.report,
-            excluded: fiber.excluded,
-            recovery: fiber.recovery,
-            since_checkpoint: fiber.since_checkpoint,
-            done: fiber.done,
-            pending: fiber.pending,
-        }
-    }
-
-    fn intern_parts(
+    /// Intern one blueprint, returning its pool index.
+    ///
+    /// A description already seen by pointer costs a graph and config
+    /// comparison, never a deep one.  Only a pointer the pool has not
+    /// seen is compared by content (so distinct `Arc`s holding equal
+    /// descriptions still share an entry) — and at most once, since
+    /// the pointer is remembered.  A fleet sharing one `Arc` never pays
+    /// a deep comparison.
+    pub fn intern(
         &mut self,
         graph: &ProcessGraph,
-        case: &CaseDescription,
+        case: &Arc<CaseDescription>,
         config: &EnactmentConfig,
-        ptr: *const CaseDescription,
     ) -> usize {
-        if let Some(found) = (0..self.entries.len()).find(|&i| {
-            let b = &self.entries[i];
-            b.graph == *graph
-                && b.config == *config
-                && ((!ptr.is_null() && self.sources[i] == ptr) || b.case == *case)
-        }) {
+        let ptr = Arc::as_ptr(case);
+        let same = |b: &CaseBlueprint| b.graph == *graph && b.config == *config;
+        if let Some(&(_, found)) = self
+            .seen
+            .iter()
+            .find(|&&(p, i)| p == ptr && same(&self.entries[i]))
+        {
             return found;
         }
-        self.entries.push(CaseBlueprint {
-            graph: graph.clone(),
-            case: case.clone(),
-            config: config.clone(),
-        });
-        self.sources.push(ptr);
-        self.entries.len() - 1
+        let index = match (0..self.entries.len())
+            .find(|&i| same(&self.entries[i]) && self.entries[i].case == **case)
+        {
+            Some(found) => found,
+            None => {
+                self.entries.push(CaseBlueprint {
+                    graph: graph.clone(),
+                    case: (**case).clone(),
+                    config: config.clone(),
+                });
+                self.entries.len() - 1
+            }
+        };
+        self.seen.push((ptr, index));
+        index
     }
 
     /// Seal the pool into the snapshot's blueprint table.
@@ -112,60 +94,36 @@ impl BlueprintPool {
     }
 }
 
-/// A [`FiberImage`] with its blueprint-shaped bulk interned into the
-/// snapshot's pool — every other field is carried verbatim, so
-/// [`FiberSlim::hydrate`] reconstructs the image exactly.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// A live fiber's [`FiberImage`] plus the index of its blueprint in
+/// [`EngineSnapshot::blueprints`].  It serializes as one flat object:
+/// the image's fields and a `blueprint` field beside them.
+#[derive(Debug, Clone, PartialEq)]
 pub struct FiberSlim {
     /// Index into [`EngineSnapshot::blueprints`] holding the fiber's
     /// (graph, case, config).
     pub blueprint: usize,
-    /// Case label (trace scope and reservation-hold owner).
-    pub label: String,
-    /// ATN machine state, if any step has run.
-    #[serde(skip_serializing_if = "Option::is_none")]
-    pub snapshot: Option<AtnSnapshot>,
-    /// Whether the next restore primes the flow baseline.
-    pub prime_flow_base: bool,
-    /// Flow-transition baseline counts.
-    pub flow_base: BTreeMap<String, usize>,
-    /// Data state.
-    pub state: DataState,
-    /// The report so far, including captured checkpoints.
-    pub report: EnactmentReport,
-    /// Services excluded by re-planning.
-    pub excluded: Vec<String>,
-    /// Recovery-layer state (breakers, attempts, pending backoffs).
-    pub recovery: RecoveryState,
-    /// Activities executed since the last cadence checkpoint.
-    pub since_checkpoint: usize,
-    /// Has the enactment reached a terminal state?
-    pub done: bool,
-    /// Cached blocked dispatch, if the fiber is waiting on capacity.
-    #[serde(skip_serializing_if = "Option::is_none")]
-    pub pending: Option<PendingImage>,
+    /// Everything else about the fiber.
+    pub image: FiberImage,
 }
 
-impl FiberSlim {
-    /// Rebuild the full [`FiberImage`] from the snapshot's blueprint
-    /// table; `None` if the blueprint index is out of range.
-    pub fn hydrate(self, blueprints: &[CaseBlueprint]) -> Option<FiberImage> {
-        let b = blueprints.get(self.blueprint)?;
-        Some(FiberImage {
-            config: b.config.clone(),
-            case: b.case.clone(),
-            label: self.label,
-            graph: b.graph.clone(),
-            snapshot: self.snapshot,
-            prime_flow_base: self.prime_flow_base,
-            flow_base: self.flow_base,
-            state: self.state,
-            report: self.report,
-            excluded: self.excluded,
-            recovery: self.recovery,
-            since_checkpoint: self.since_checkpoint,
-            done: self.done,
-            pending: self.pending,
+impl Serialize for FiberSlim {
+    fn to_json_value(&self) -> serde::Value {
+        let mut v = self.image.to_json_value();
+        if let Some(m) = v.as_object_mut() {
+            m.insert("blueprint".to_string(), self.blueprint.to_json_value());
+        }
+        v
+    }
+}
+
+impl Deserialize for FiberSlim {
+    fn from_json_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        let obj = v.as_object().ok_or_else(|| {
+            serde::Error::custom(format!("expected object for struct FiberSlim, got {v:?}"))
+        })?;
+        Ok(FiberSlim {
+            blueprint: serde::__field(obj, "blueprint", "FiberSlim")?,
+            image: FiberImage::from_json_value(v)?,
         })
     }
 }
@@ -208,8 +166,8 @@ pub struct SlotImage {
     pub fiber: FiberSlim,
 }
 
-/// One already-finished case.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// One already-finished case.  Written by [`FinishedJson::push`].
+#[derive(Debug, Clone, Deserialize)]
 pub struct FinishedImage {
     /// Submission index.
     pub index: usize,
@@ -271,30 +229,11 @@ pub struct EngineSnapshot {
     pub world: WorldImage,
 }
 
-// Hand-written serde: version 1 payloads predate the `version` field,
-// so deserialization must default it instead of erroring on the missing
-// key, must read a legacy `core` field for its shard count, and must
-// refuse payloads newer than this build's schema.
-impl Serialize for EngineSnapshot {
-    fn to_json_value(&self) -> serde::Value {
-        let mut m = serde::Map::new();
-        m.insert("version".to_string(), self.version.to_json_value());
-        m.insert("next_tick".to_string(), self.next_tick.to_json_value());
-        m.insert("blueprints".to_string(), self.blueprints.to_json_value());
-        m.insert("waiting".to_string(), self.waiting.to_json_value());
-        m.insert("live".to_string(), self.live.to_json_value());
-        m.insert("finished".to_string(), self.finished.to_json_value());
-        m.insert("admissions".to_string(), self.admissions.to_json_value());
-        m.insert("freed".to_string(), self.freed.to_json_value());
-        m.insert(
-            "last_generation".to_string(),
-            self.last_generation.to_json_value(),
-        );
-        m.insert("world".to_string(), self.world.to_json_value());
-        serde::Value::Object(m)
-    }
-}
-
+// Hand-written deserialization: version 1 payloads predate the
+// `version` field, so it must default instead of erroring on the
+// missing key, a legacy `core` field must be read for its shard count,
+// and payloads newer than this build's schema must be refused.  The
+// writer is [`EngineSnapshot::encode`].
 impl Deserialize for EngineSnapshot {
     fn from_json_value(v: &serde::Value) -> Result<Self, serde::Error> {
         let obj = v.as_object().ok_or_else(|| {
@@ -345,9 +284,54 @@ impl Deserialize for EngineSnapshot {
 impl EngineSnapshot {
     /// Serialize for a snapshot record's opaque payload.
     pub fn to_bytes(&self) -> Vec<u8> {
-        serde_json::to_string(self)
-            .expect("engine snapshots serialize")
-            .into_bytes()
+        let mut finished = FinishedJson::default();
+        for f in &self.finished {
+            finished.push(f.index, &f.outcome);
+        }
+        self.encode(&finished)
+    }
+
+    /// The payload writer: compact JSON with every object's keys in
+    /// sorted order, with the `finished` array spliced in from
+    /// `finished` (already-encoded elements) instead of from
+    /// `self.finished`.  The engine keeps one [`FinishedJson`] for a
+    /// whole run, so each finished outcome is encoded once however many
+    /// snapshots carry it; [`EngineSnapshot::to_bytes`] encodes
+    /// `self.finished` afresh.  Both write the same bytes.
+    pub(crate) fn encode(&self, finished: &FinishedJson) -> Vec<u8> {
+        let mut fields = serde::Map::new();
+        fields.insert("version".to_string(), self.version.to_json_value());
+        fields.insert("next_tick".to_string(), self.next_tick.to_json_value());
+        fields.insert("blueprints".to_string(), self.blueprints.to_json_value());
+        fields.insert("waiting".to_string(), self.waiting.to_json_value());
+        fields.insert("live".to_string(), self.live.to_json_value());
+        fields.insert("finished".to_string(), serde::Value::Null);
+        fields.insert("admissions".to_string(), self.admissions.to_json_value());
+        fields.insert("freed".to_string(), self.freed.to_json_value());
+        fields.insert(
+            "last_generation".to_string(),
+            self.last_generation.to_json_value(),
+        );
+        fields.insert("world".to_string(), self.world.to_json_value());
+        let mut out = Vec::new();
+        out.push(b'{');
+        // The map iterates in key order, as the compact writer does.
+        for (i, (key, value)) in fields.iter().enumerate() {
+            if i > 0 {
+                out.push(b',');
+            }
+            out.extend_from_slice(serde::Value::String(key.clone()).to_string().as_bytes());
+            out.push(b':');
+            if key == "finished" {
+                out.push(b'[');
+                out.extend_from_slice(&finished.bytes);
+                out.push(b']');
+            } else {
+                out.extend_from_slice(value.to_string().as_bytes());
+            }
+        }
+        out.push(b'}');
+        out
     }
 
     /// Deserialize a snapshot record's payload.  Version 1 payloads
@@ -373,5 +357,33 @@ impl EngineSnapshot {
             }
         }
         Ok(())
+    }
+}
+
+/// The elements of a payload's `finished` array, each encoded once:
+/// comma-separated compact JSON objects `{"index":..,"outcome":..}`.
+#[derive(Debug, Default)]
+pub(crate) struct FinishedJson {
+    bytes: Vec<u8>,
+    count: usize,
+}
+
+impl FinishedJson {
+    /// Number of finished cases encoded so far.
+    pub(crate) fn len(&self) -> usize {
+        self.count
+    }
+
+    /// Encode one more finished case after those already held.
+    pub(crate) fn push(&mut self, index: usize, outcome: &CaseOutcome) {
+        let mut element = serde::Map::new();
+        element.insert("index".to_string(), index.to_json_value());
+        element.insert("outcome".to_string(), outcome.to_json_value());
+        if self.count > 0 {
+            self.bytes.push(b',');
+        }
+        self.bytes
+            .extend_from_slice(serde::Value::Object(element).to_string().as_bytes());
+        self.count += 1;
     }
 }

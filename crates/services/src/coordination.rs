@@ -438,8 +438,13 @@ pub struct PendingImage {
     pub taken: Option<Vec<String>>,
 }
 
-/// A complete, serializable capture of a [`CaseFiber`] between steps —
-/// the per-case payload of a durable engine snapshot.
+/// A complete, serializable capture of a [`CaseFiber`]'s progress
+/// between steps — the per-case payload of a durable engine snapshot.
+///
+/// The image leaves out the fiber's blueprint — the graph in force, the
+/// shared case description and the configuration (see
+/// [`CaseFiber::blueprint`]) — so a snapshot can store each blueprint
+/// once for the whole fleet instead of once per fiber.
 ///
 /// Unlike [`EnactmentCheckpoint`] (which records only enactment
 /// accounting and is captured on the fiber's own cadence), an image is
@@ -451,15 +456,8 @@ pub struct PendingImage {
 /// nothing.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FiberImage {
-    /// Enactment configuration (includes the planner seed, so the
-    /// rebuilt planning service is exact).
-    pub config: EnactmentConfig,
-    /// The case being enacted.
-    pub case: CaseDescription,
     /// Case label (trace scope and reservation-hold owner).
     pub label: String,
-    /// The process graph in force (original or re-planned).
-    pub graph: ProcessGraph,
     /// ATN machine state, if any step has run.
     #[serde(skip_serializing_if = "Option::is_none")]
     pub snapshot: Option<AtnSnapshot>,
@@ -645,15 +643,12 @@ impl CaseFiber {
         }
     }
 
-    /// Capture the fiber's complete state as a serializable
-    /// [`FiberImage`] (see there for how this differs from a
-    /// checkpoint).  Must be taken between steps.
+    /// Capture the fiber's progress as a serializable [`FiberImage`]
+    /// (see there for how this differs from a checkpoint).  Must be
+    /// taken between steps.
     pub fn image(&self) -> FiberImage {
         FiberImage {
-            config: self.config.clone(),
-            case: (*self.case).clone(),
             label: self.label.clone(),
-            graph: self.current_graph.clone(),
             snapshot: self.snapshot.clone(),
             prime_flow_base: self.prime_flow_base,
             flow_base: self.flow_base.clone(),
@@ -672,17 +667,29 @@ impl CaseFiber {
         }
     }
 
-    /// Rebuild a fiber from a captured [`FiberImage`], *silently*: no
-    /// `EnactmentStarted` (or any other event) is emitted, because the
-    /// original run already emitted everything up to the capture point
-    /// and a crash-recovered trace must stay byte-identical to an
-    /// uninterrupted one.
-    pub fn from_image(image: FiberImage, trace: TraceHandle) -> Self {
+    /// What the fiber enacts, borrowed: the process graph in force
+    /// (original or re-planned), the shared case description and the
+    /// configuration.  With [`CaseFiber::image`] this is everything
+    /// [`CaseFiber::from_image`] needs; a fleet's fibers share the
+    /// description's `Arc`, so a capture can tell them apart by pointer.
+    pub fn blueprint(&self) -> (&ProcessGraph, &Arc<CaseDescription>, &EnactmentConfig) {
+        (&self.current_graph, &self.case, &self.config)
+    }
+
+    /// Rebuild a fiber from a captured [`FiberImage`] and its
+    /// blueprint, *silently*: no `EnactmentStarted` (or any other event)
+    /// is emitted, because the original run already emitted everything
+    /// up to the capture point and a crash-recovered trace must stay
+    /// byte-identical to an uninterrupted one.
+    pub fn from_image(
+        image: FiberImage,
+        graph: ProcessGraph,
+        case: Arc<CaseDescription>,
+        config: EnactmentConfig,
+        trace: TraceHandle,
+    ) -> Self {
         let FiberImage {
-            config,
-            case,
             label,
-            graph,
             snapshot,
             prime_flow_base,
             flow_base,
@@ -696,7 +703,6 @@ impl CaseFiber {
         } = image;
         let recovery = RecoveryManager::restore(config.recovery.clone(), recovery, trace.clone());
         let planning = PlanningService::new(config.gp).with_trace_handle(trace.clone());
-        let case = Arc::new(case);
         let initial_classifications = initial_classifications(&case);
         CaseFiber {
             config,
@@ -1583,7 +1589,14 @@ mod tests {
             log_a.len() as u64,
             std::sync::Arc::new(gridflow_telemetry::FrozenClock),
         );
-        let mut fb = CaseFiber::from_image(back, TraceHandle::from(log_b.clone()));
+        let (graph_a, case_a, config_a) = fa.blueprint();
+        let mut fb = CaseFiber::from_image(
+            back,
+            graph_a.clone(),
+            case_a.clone(),
+            config_a.clone(),
+            TraceHandle::from(log_b.clone()),
+        );
         // The restore is silent: recovery must not re-emit history.
         assert!(log_b.is_empty());
         assert_eq!(fb.label(), fa.label());

@@ -177,10 +177,20 @@ impl FileStore {
         &self.dir
     }
 
-    fn write_record(&mut self, bytes: &[u8]) -> StoreResult<()> {
+    /// Start a new segment if the current one is full.
+    fn make_room(&mut self) {
         if self.current_records >= self.records_per_segment {
             self.current_index += 1;
             self.current_records = 0;
+        }
+    }
+
+    /// Append `records` framed records, `bytes` back to back, to the
+    /// current segment with one write (plus the header, if the segment
+    /// is new).
+    fn write_records(&mut self, bytes: &[u8], records: usize) -> StoreResult<()> {
+        if records == 0 {
+            return Ok(());
         }
         let path = segment_path(&self.dir, self.current_index);
         let mut file = fs::OpenOptions::new()
@@ -192,26 +202,47 @@ impl FileStore {
             file.write_all(&segment_header()).map_err(io_err)?;
         }
         file.write_all(bytes).map_err(io_err)?;
-        self.current_records += 1;
+        self.current_records += records;
         Ok(())
     }
 }
 
 impl Store for FileStore {
+    /// Encodes the call's newly stored records into one buffer and
+    /// writes it once per segment it lands in.  Records the core
+    /// accepted before a rejection are written before the error
+    /// returns, so the files always hold what the core holds.
     fn append(&mut self, events: &[TraceRecord]) -> StoreResult<()> {
+        let mut batch = Vec::new();
+        let mut pending = 0;
+        let mut verdict = Ok(());
         for record in events {
-            if self.core.accept_event(record)? == Accepted::Stored {
-                let bytes = encode_event(record);
-                self.write_record(&bytes)?;
+            match self.core.accept_event(record) {
+                Ok(Accepted::Stored) => {
+                    if self.current_records + pending >= self.records_per_segment {
+                        self.write_records(&batch, pending)?;
+                        batch.clear();
+                        pending = 0;
+                        self.make_room();
+                    }
+                    batch.extend_from_slice(&encode_event(record));
+                    pending += 1;
+                }
+                Ok(Accepted::Duplicate) => {}
+                Err(e) => {
+                    verdict = Err(e);
+                    break;
+                }
             }
         }
-        Ok(())
+        self.write_records(&batch, pending)?;
+        verdict
     }
 
     fn snapshot(&mut self, snap: SnapshotRecord) -> StoreResult<()> {
         if self.core.accept_snapshot(&snap)? == Accepted::Stored {
-            let bytes = encode_snapshot(&snap);
-            self.write_record(&bytes)?;
+            self.make_room();
+            self.write_records(&encode_snapshot(&snap), 1)?;
         }
         Ok(())
     }
@@ -362,6 +393,68 @@ mod tests {
         let (reread, report) = FileStore::open(tmp.path(), 100).unwrap();
         assert_eq!(reread.next_seq(), 4);
         assert!(!report.truncated);
+    }
+
+    /// Every segment file in `dir`, by name, with its bytes.
+    fn segment_files(dir: &Path) -> Vec<(String, Vec<u8>)> {
+        let mut files: Vec<(String, Vec<u8>)> = fs::read_dir(dir)
+            .unwrap()
+            .map(|e| {
+                let e = e.unwrap();
+                (
+                    e.file_name().into_string().unwrap(),
+                    fs::read(e.path()).unwrap(),
+                )
+            })
+            .collect();
+        files.sort();
+        files
+    }
+
+    #[test]
+    fn one_batched_append_writes_the_bytes_of_single_appends() {
+        let events: Vec<TraceRecord> = (0..10).map(event).collect();
+        let batched = TempDir::new("batched");
+        FileStore::create(batched.path(), 3)
+            .unwrap()
+            .append(&events)
+            .unwrap();
+        let single = TempDir::new("single");
+        {
+            let mut store = FileStore::create(single.path(), 3).unwrap();
+            for e in &events {
+                store.append(std::slice::from_ref(e)).unwrap();
+            }
+        }
+        let files = segment_files(batched.path());
+        assert_eq!(files.len(), 4, "10 records at 3 per segment");
+        assert_eq!(files, segment_files(single.path()));
+
+        // Reopen reads every record back.
+        let (store, report) = FileStore::open(batched.path(), 3).unwrap();
+        assert!(!report.truncated);
+        assert_eq!((report.segments, report.events), (4, 10));
+        assert_eq!(store.replay_from(0).unwrap(), events);
+
+        // Tear the last record of the batch: reopen keeps the records
+        // before it, whole.
+        let last = segment_path(batched.path(), 3);
+        let len = fs::metadata(&last).unwrap().len();
+        fs::OpenOptions::new()
+            .write(true)
+            .open(&last)
+            .unwrap()
+            .set_len(len - 3)
+            .unwrap();
+        let (store, report) = FileStore::open(batched.path(), 3).unwrap();
+        assert!(report.truncated);
+        assert_eq!(report.events, 9);
+        assert_eq!(store.replay_from(0).unwrap(), events[..9]);
+        assert_eq!(
+            fs::metadata(&last).unwrap().len(),
+            SEGMENT_HEADER_LEN as u64,
+            "the torn record is cut off at the segment header"
+        );
     }
 
     #[test]

@@ -251,11 +251,8 @@ impl JournalCore {
     }
 
     pub(crate) fn events_from(&self, seq: u64) -> Vec<TraceRecord> {
-        self.events
-            .iter()
-            .filter(|r| r.seq >= seq)
-            .cloned()
-            .collect()
+        let from = self.events.partition_point(|r| r.seq < seq);
+        self.events[from..].to_vec()
     }
 
     pub(crate) fn latest_snapshot(&self) -> StoreResult<Option<SnapshotRecord>> {
@@ -368,6 +365,27 @@ mod tests {
             })
         );
         assert_eq!(core.next_seq(), 2);
+    }
+
+    #[test]
+    fn events_from_finds_the_cursor_in_a_resumed_log() {
+        use gridflow_telemetry::{FrozenClock, TraceLog, TraceSink};
+        let log = TraceLog::resuming(1000, std::sync::Arc::new(FrozenClock));
+        for tick in 0..5 {
+            log.emit("engine", TraceEvent::TickStarted { tick });
+        }
+        let mut core = JournalCore::default();
+        for r in log.records() {
+            assert_eq!(core.accept_event(&r).unwrap(), Accepted::Stored);
+        }
+        let seqs =
+            |from: u64| -> Vec<u64> { core.events_from(from).iter().map(|r| r.seq).collect() };
+        // A cursor below the base reads the whole log.
+        assert_eq!(seqs(0), [1000, 1001, 1002, 1003, 1004]);
+        assert_eq!(seqs(1003), [1003, 1004]);
+        // At the end and past it there is nothing to read.
+        assert!(seqs(1005).is_empty());
+        assert!(seqs(u64::MAX).is_empty());
     }
 
     #[test]

@@ -152,13 +152,9 @@ impl TraceLog {
     /// incremental read used to flush a tick's worth of journal into a
     /// durable store.
     pub fn records_from(&self, seq: u64) -> Vec<TraceRecord> {
-        self.state
-            .lock()
-            .records
-            .iter()
-            .filter(|r| r.seq >= seq)
-            .cloned()
-            .collect()
+        let st = self.state.lock();
+        let from = st.records.partition_point(|r| r.seq < seq);
+        st.records[from..].to_vec()
     }
 
     /// Number of records so far.
@@ -582,6 +578,23 @@ mod tests {
         assert_eq!(log.records_from(8)[0].seq, 8);
         assert!(log.records_from(9).is_empty());
         assert_eq!(log.records_from(0).len(), 2);
+    }
+
+    #[test]
+    fn records_from_finds_the_cursor_in_a_resumed_log() {
+        let log = TraceLog::resuming(1000, Arc::new(FrozenClock));
+        for i in 0..5 {
+            log.emit("t", msg(i));
+        }
+        let seqs =
+            |from: u64| -> Vec<u64> { log.records_from(from).iter().map(|r| r.seq).collect() };
+        // A cursor below the base reads the whole log.
+        assert_eq!(seqs(0), [1000, 1001, 1002, 1003, 1004]);
+        assert_eq!(seqs(999), seqs(0));
+        assert_eq!(seqs(1003), [1003, 1004]);
+        // At the end and past it there is nothing to read.
+        assert!(seqs(1005).is_empty());
+        assert!(seqs(u64::MAX).is_empty());
     }
 
     #[test]

@@ -16,9 +16,11 @@
 
 use gridflow_engine::{CaseHints, EngineOutcome, PolicySpec};
 use gridflow_harness::workload::{
-    dinner_recovery_workload, dinner_workload, DurationProfile, GraphShape, Workload, WorkloadGen,
+    cook_loss_churn_plan, dinner_recovery_workload, dinner_replan_workload, dinner_workload,
+    DurationProfile, GraphShape, Workload, WorkloadGen,
 };
 use gridflow_harness::{FaultPlan, MultiCaseScenario};
+use gridflow_services::PlanCacheHandle;
 use gridflow_store::{merged_jsonl, FileStore, MemStore, SnapshotRecord, Store, StoreError};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -422,6 +424,33 @@ fn recovery_ladder_fleets_survive_kills_at_every_tick() {
     for kill in 0..baseline.ticks {
         fleet.prove_crash_replay(kill, 4, &jsonl, &baseline);
     }
+}
+
+/// A store error inside the recovered run comes back from `recover()`
+/// as a value, not a panic in the tick loop.  The probe: a replanning
+/// fleet journaled with a warm plan cache, killed, and recovered with a
+/// fresh cache — as after a real restart.  The restored suffix misses
+/// the cache where the crashed run hit it, so the regenerated journal
+/// diverges from the stored one at seq 106.
+#[test]
+fn recovery_with_a_cold_plan_cache_returns_the_divergence() {
+    let plan = cook_loss_churn_plan(23);
+    let workload = dinner_replan_workload(11);
+    let scenario = |cache: PlanCacheHandle, store: Arc<Mutex<dyn Store>>| {
+        MultiCaseScenario::new(&plan, &workload, 6)
+            .max_in_flight(6)
+            .plan_cache(cache)
+            .store(store, 2)
+    };
+    let store: Arc<Mutex<dyn Store>> = Arc::new(Mutex::new(MemStore::new()));
+    let crashed = scenario(PlanCacheHandle::in_proc(), store.clone())
+        .kill_at(3)
+        .run();
+    assert!(crashed.engine.killed);
+    let err = scenario(PlanCacheHandle::in_proc(), store)
+        .recover()
+        .expect_err("a cold cache cannot reproduce the warm run's journal");
+    assert_eq!(err, StoreError::ReplayDivergence { seq: 106 });
 }
 
 /// The full nightly sweep: 32 seeds across the workload generator's

@@ -29,10 +29,19 @@
 //! ```
 //!
 //! `--guard` reads the committed `BENCH_enactment.json` *before*
-//! overwriting it and exits non-zero if the headline point (N=512,
-//! best of three measurements) regressed more than 20% in cases/sec
-//! against it — the CI seam that keeps the event core's throughput
-//! claim honest.
+//! overwriting it and exits non-zero if
+//!
+//! - the headline point (N=512, best of three measurements) regressed
+//!   more than 20% in cases/sec against it — the CI seam that keeps the
+//!   event core's throughput claim honest; or
+//! - the memory or file store cell's wall time over the trace-only
+//!   cell's (best of three measurements of each) exceeds 1.5× the
+//!   committed ratio — the seam that keeps durability's cost from
+//!   creeping back.
+//!
+//! The report records the host's `available_parallelism` under
+//! `"host"`: cells from hosts with different CPU counts are not a
+//! comparison.
 
 use gridflow_bench::{banner, render_table};
 use gridflow_engine::{CaseHints, CaseScheduler, CaseSpec, EngineConfig, PolicySpec};
@@ -44,7 +53,7 @@ use gridflow_harness::{FaultPlan, MultiCaseScenario};
 use gridflow_store::{FileStore, MemStore, Store};
 use serde_json::json;
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 const FLEET_SIZES: [usize; 6] = [1, 8, 64, 512, 2048, 100_000];
 /// Above this fleet size the throughput sweep turns per-case
@@ -65,6 +74,10 @@ const MATRIX_CASES: usize = 32;
 /// Fleet size and snapshot cadence for the durable-store overhead sweep.
 const STORE_CASES: usize = 512;
 const STORE_SNAPSHOT_EVERY: u64 = 32;
+const STORE_BACKENDS: [&str; 3] = ["trace-only", "memory", "file"];
+/// The store gate: a store cell's wall over the trace-only cell's may
+/// grow to this multiple of the committed ratio.
+const STORE_GUARD_SLACK: f64 = 1.5;
 
 /// Staggered hints so every non-FIFO policy visibly reorders the
 /// fleet: alternating tenants, three priority classes, deadlines
@@ -159,6 +172,71 @@ fn baseline_cases_per_sec(path: &str) -> Option<f64> {
     })
 }
 
+/// One measurement of a durable-store overhead cell: `cases` dinner
+/// cases traced only, or journalled into a `MemStore` or a `FileStore`
+/// (in a throwaway directory, removed afterwards).  Returns the tick
+/// count and the wall time.
+fn measure_store_cell(
+    backend: &str,
+    plan: &FaultPlan,
+    wl: &Workload,
+    cases: usize,
+) -> (u64, Duration) {
+    let scenario = MultiCaseScenario::new(plan, wl, cases).max_in_flight(64);
+    let file_dir = (backend == "file")
+        .then(|| std::env::temp_dir().join(format!("gridflow-bench-store-{}", std::process::id())));
+    let scenario = match backend {
+        "trace-only" => scenario.traced(),
+        "memory" => scenario.store(
+            Arc::new(Mutex::new(MemStore::new())) as Arc<Mutex<dyn Store>>,
+            STORE_SNAPSHOT_EVERY,
+        ),
+        _ => {
+            let dir = file_dir.as_ref().expect("file cell has a dir");
+            let _ = std::fs::remove_dir_all(dir);
+            std::fs::create_dir_all(dir).expect("create bench store dir");
+            let (fs, _) = FileStore::open(dir, 4096).expect("open bench store");
+            scenario.store(
+                Arc::new(Mutex::new(fs)) as Arc<Mutex<dyn Store>>,
+                STORE_SNAPSHOT_EVERY,
+            )
+        }
+    };
+    let start = Instant::now();
+    let outcome = scenario.run().engine;
+    let wall = start.elapsed();
+    if let Some(dir) = file_dir {
+        let _ = std::fs::remove_dir_all(dir);
+    }
+    assert!(
+        outcome.all_succeeded(),
+        "store cell {backend} did not fully succeed"
+    );
+    (outcome.ticks, wall)
+}
+
+/// The committed wall-time ratio of each store cell over the
+/// trace-only cell, if the report on disk has N=`STORE_CASES` store
+/// cells.
+fn baseline_store_ratios(path: &str) -> Option<Vec<(String, f64)>> {
+    let text = std::fs::read_to_string(path).ok()?;
+    let report: serde_json::Value = serde_json::from_str(&text).ok()?;
+    let cells = report.get("store")?.as_array()?;
+    let wall = |backend: &str| {
+        cells.iter().find_map(|c| {
+            (c.get("backend")?.as_str()? == backend
+                && c.get("cases")?.as_u64()? == STORE_CASES as u64)
+                .then(|| c.get("wall_ms")?.as_f64())
+                .flatten()
+        })
+    };
+    let trace_only = wall("trace-only")?;
+    STORE_BACKENDS[1..]
+        .iter()
+        .map(|b| Some((b.to_string(), wall(b)? / trace_only)))
+        .collect()
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let max_cases = args
@@ -177,6 +255,7 @@ fn main() {
 
     let path = "BENCH_enactment.json";
     let baseline = guard.then(|| baseline_cases_per_sec(path)).flatten();
+    let store_baseline = guard.then(|| baseline_store_ratios(path)).flatten();
 
     banner("engine throughput: concurrent multi-case enactment");
     let wl = dinner_workload();
@@ -342,45 +421,15 @@ fn main() {
     store_wl.case = dinner_case_for_fleet(store_cases);
     let mut store_rows = Vec::new();
     let mut store_cells = Vec::new();
-    for backend in ["trace-only", "memory", "file"] {
-        let scenario = MultiCaseScenario::new(&plan, &store_wl, store_cases).max_in_flight(64);
-        // The file cell journals into a throwaway directory, removed
-        // after the measurement.
-        let file_dir = (backend == "file").then(|| {
-            std::env::temp_dir().join(format!("gridflow-bench-store-{}", std::process::id()))
-        });
-        let scenario = match backend {
-            "trace-only" => scenario.traced(),
-            "memory" => scenario.store(
-                Arc::new(Mutex::new(MemStore::new())) as Arc<Mutex<dyn Store>>,
-                STORE_SNAPSHOT_EVERY,
-            ),
-            _ => {
-                let dir = file_dir.as_ref().expect("file cell has a dir");
-                let _ = std::fs::remove_dir_all(dir);
-                std::fs::create_dir_all(dir).expect("create bench store dir");
-                let (fs, _) = FileStore::open(dir, 4096).expect("open bench store");
-                scenario.store(
-                    Arc::new(Mutex::new(fs)) as Arc<Mutex<dyn Store>>,
-                    STORE_SNAPSHOT_EVERY,
-                )
-            }
-        };
-        let start = Instant::now();
-        let outcome = scenario.run().engine;
-        let wall = start.elapsed();
-        if let Some(dir) = file_dir {
-            let _ = std::fs::remove_dir_all(dir);
-        }
-        assert!(
-            outcome.all_succeeded(),
-            "store cell {backend} did not fully succeed"
-        );
+    let mut store_walls = Vec::new();
+    for backend in STORE_BACKENDS {
+        let (ticks, wall) = measure_store_cell(backend, &plan, &store_wl, store_cases);
+        store_walls.push(wall);
         let cases_per_sec = store_cases as f64 / wall.as_secs_f64().max(1e-9);
         store_rows.push(vec![
             backend.to_string(),
             store_cases.to_string(),
-            outcome.ticks.to_string(),
+            ticks.to_string(),
             format!("{:.1}", wall.as_secs_f64() * 1e3),
             format!("{cases_per_sec:.0}"),
         ]);
@@ -388,7 +437,7 @@ fn main() {
             "backend": backend,
             "cases": store_cases,
             "snapshot_every": STORE_SNAPSHOT_EVERY,
-            "ticks": outcome.ticks,
+            "ticks": ticks,
             "wall_ms": wall.as_secs_f64() * 1e3,
             "cases_per_sec": cases_per_sec,
             "all_succeeded": true,
@@ -402,8 +451,10 @@ fn main() {
         )
     );
 
+    let available_parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
     let report = json!({
         "bench": "enactment_throughput",
+        "host": {"available_parallelism": available_parallelism},
         "workload": wl.name,
         "engine": {"max_in_flight": 64, "enforce_reservations": true},
         "results": results,
@@ -440,6 +491,31 @@ fn main() {
                 }
             }
             None => println!("guard: no committed baseline for the guard point; recording only"),
+        }
+        match store_baseline {
+            Some(committed) if store_cases == STORE_CASES => {
+                // Best-of-N per cell, as for the headline point.
+                for _ in 1..GUARD_MEASUREMENTS {
+                    for (backend, best) in STORE_BACKENDS.iter().zip(&mut store_walls) {
+                        *best = (*best)
+                            .min(measure_store_cell(backend, &plan, &store_wl, store_cases).1);
+                    }
+                }
+                let trace_only = store_walls[0].as_secs_f64().max(1e-9);
+                for ((backend, committed), wall) in committed.iter().zip(&store_walls[1..]) {
+                    let ratio = wall.as_secs_f64() / trace_only;
+                    let ceiling = committed * STORE_GUARD_SLACK;
+                    println!(
+                        "guard: {backend} store / trace-only wall: {ratio:.2} \
+                         vs committed {committed:.2} (ceiling {ceiling:.2})"
+                    );
+                    if ratio > ceiling {
+                        eprintln!("guard: {backend} store overhead grew past 1.5x — failing");
+                        std::process::exit(1);
+                    }
+                }
+            }
+            _ => println!("guard: no committed N={STORE_CASES} store cells; recording only"),
         }
     }
 }

@@ -15,6 +15,7 @@ use crate::scheduler::CaseOutcome;
 use gridflow_process::{CaseDescription, ProcessGraph};
 use gridflow_services::{EnactmentConfig, FiberImage, WorldImage};
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// One distinct (graph, case description, config) triple, stored once
@@ -299,35 +300,38 @@ impl EngineSnapshot {
     /// snapshots carry it; [`EngineSnapshot::to_bytes`] encodes
     /// `self.finished` afresh.  Both write the same bytes.
     pub(crate) fn encode(&self, finished: &FinishedJson) -> Vec<u8> {
-        let mut fields = serde::Map::new();
-        fields.insert("version".to_string(), self.version.to_json_value());
-        fields.insert("next_tick".to_string(), self.next_tick.to_json_value());
-        fields.insert("blueprints".to_string(), self.blueprints.to_json_value());
-        fields.insert("waiting".to_string(), self.waiting.to_json_value());
-        fields.insert("live".to_string(), self.live.to_json_value());
-        fields.insert("finished".to_string(), serde::Value::Null);
-        fields.insert("admissions".to_string(), self.admissions.to_json_value());
-        fields.insert("freed".to_string(), self.freed.to_json_value());
-        fields.insert(
-            "last_generation".to_string(),
-            self.last_generation.to_json_value(),
-        );
-        fields.insert("world".to_string(), self.world.to_json_value());
-        let mut out = Vec::new();
+        let json = |v: &dyn Serialize| v.to_json_value().to_string();
+        // Sorted by key, as the compact writer orders object fields.
+        let fields: BTreeMap<&str, String> = BTreeMap::from([
+            ("version", json(&self.version)),
+            ("next_tick", json(&self.next_tick)),
+            ("blueprints", json(&self.blueprints)),
+            ("waiting", json(&self.waiting)),
+            ("live", json(&self.live)),
+            ("finished", String::new()),
+            ("admissions", json(&self.admissions)),
+            ("freed", json(&self.freed)),
+            ("last_generation", json(&self.last_generation)),
+            ("world", json(&self.world)),
+        ]);
+        let len = finished.bytes.len()
+            + fields
+                .iter()
+                .map(|(key, value)| key.len() + value.len() + 6)
+                .sum::<usize>();
+        let mut out = Vec::with_capacity(len);
         out.push(b'{');
-        // The map iterates in key order, as the compact writer does.
         for (i, (key, value)) in fields.iter().enumerate() {
             if i > 0 {
                 out.push(b',');
             }
-            out.extend_from_slice(serde::Value::String(key.clone()).to_string().as_bytes());
-            out.push(b':');
-            if key == "finished" {
+            out.extend_from_slice(format!("\"{key}\":").as_bytes());
+            if *key == "finished" {
                 out.push(b'[');
                 out.extend_from_slice(&finished.bytes);
                 out.push(b']');
             } else {
-                out.extend_from_slice(value.to_string().as_bytes());
+                out.extend_from_slice(value.as_bytes());
             }
         }
         out.push(b'}');

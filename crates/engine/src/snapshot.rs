@@ -167,7 +167,8 @@ pub struct SlotImage {
     pub fiber: FiberSlim,
 }
 
-/// One already-finished case.  Written by [`FinishedJson::push`].
+/// One already-finished case, as [`EngineSnapshot::from_bytes`] reads
+/// it back.
 #[derive(Debug, Clone, Deserialize)]
 pub struct FinishedImage {
     /// Submission index.

@@ -12,7 +12,7 @@
 //! * `EnactmentCheckpoint`s round-trip through the store's framed
 //!   record format, whose explicit schema-version byte is pinned.
 
-use gridflow_engine::PolicySpec;
+use gridflow_engine::{EngineSnapshot, PolicySpec};
 use gridflow_harness::workload::dinner_workload;
 use gridflow_harness::workload::Workload;
 use gridflow_harness::{FaultPlan, MultiCaseScenario};
@@ -107,6 +107,45 @@ fn recovery_from_an_empty_log_equals_a_fresh_run() {
         jsonl,
         "cold-start recovery must lay down the same log a run would"
     );
+}
+
+/// The engine writes each finished outcome into a payload once and
+/// splices the cached bytes into every later snapshot, while
+/// `EngineSnapshot::to_bytes` encodes from scratch; both must write the
+/// same bytes, and those bytes are canonical compact JSON (sorted keys,
+/// no whitespace) that decodes back to the same payload.  Checked on
+/// the snapshot of every tick of a run, finished cases and all.
+#[test]
+fn snapshot_payloads_reencode_byte_identically() {
+    let (plan, wl) = fixture();
+    let ticks = scenario(&plan, &wl).run().engine.ticks;
+    for kill in 1..ticks {
+        let store: Arc<Mutex<dyn Store>> = Arc::new(Mutex::new(MemStore::new()));
+        let crashed = scenario(&plan, &wl)
+            .store(store.clone(), 1)
+            .kill_at(kill)
+            .run();
+        assert!(crashed.engine.killed);
+        let payload = store
+            .lock()
+            .unwrap()
+            .latest_snapshot()
+            .unwrap()
+            .expect("a snapshot every tick")
+            .state;
+        let text = std::str::from_utf8(&payload).expect("JSON payload");
+        let value: serde_json::Value = serde_json::from_str(text).unwrap();
+        assert_eq!(value.to_string(), text, "kill@{kill}: not canonical JSON");
+        let image = EngineSnapshot::from_bytes(&payload).unwrap();
+        assert_eq!(
+            image.to_bytes(),
+            payload,
+            "kill@{kill}: to_bytes and the engine's cached writer disagree"
+        );
+        if kill + 1 == ticks {
+            assert!(!image.finished.is_empty(), "no finished case was covered");
+        }
+    }
 }
 
 /// A snapshot stamped by a future build is refused at recovery time

@@ -98,7 +98,7 @@ impl BlueprintPool {
 /// A live fiber's [`FiberImage`] plus the index of its blueprint in
 /// [`EngineSnapshot::blueprints`].  It serializes as one flat object:
 /// the image's fields and a `blueprint` field beside them.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct FiberSlim {
     /// Index into [`EngineSnapshot::blueprints`] holding the fiber's
     /// (graph, case, config).

@@ -686,7 +686,7 @@ impl CaseScheduler {
         let shared: Vec<_> = image
             .blueprints
             .into_iter()
-            .map(|b| (b.graph, Arc::new(b.case), b.config))
+            .map(|b| (Arc::new(b.graph), Arc::new(b.case), b.config))
             .collect();
         let mut live = Vec::new();
         for slot in image.live {
@@ -728,7 +728,7 @@ impl CaseScheduler {
                 w.index,
                 CaseSpec {
                     label: w.label,
-                    graph: graph.clone(),
+                    graph: (**graph).clone(),
                     case: case.clone(),
                     config: config.clone(),
                     hints: w.hints,

@@ -569,6 +569,25 @@ mod tests {
     }
 
     #[test]
+    fn restore_rejects_a_graph_invalid_only_by_reachability() {
+        // Degrees and conditions are all in order; only the isolated
+        // ORPHAN cycle (unreachable from Begin) is wrong.
+        let (g, s) = machine_for("BEGIN A; END");
+        let mut m = AtnMachine::new(&g).unwrap();
+        m.start(&s).unwrap();
+        let snapshot = m.snapshot();
+        let mut bad = g.clone();
+        bad.add_activity(crate::graph::ActivityDecl::end_user("ORPHAN"))
+            .unwrap();
+        bad.add_activity(crate::graph::ActivityDecl::end_user("ORPHAN2"))
+            .unwrap();
+        bad.add_transition("ORPHAN", "ORPHAN2", None).unwrap();
+        bad.add_transition("ORPHAN2", "ORPHAN", None).unwrap();
+        let err = AtnMachine::restore(&bad, snapshot).unwrap_err();
+        assert!(err.to_string().contains("unreachable from Begin"), "{err}");
+    }
+
+    #[test]
     fn figure_10_workflow_enacts_with_two_refinement_iterations() {
         let src = "BEGIN POD; P3DR1; \
              ITERATIVE { COND { D10.Value > 8 } } { \

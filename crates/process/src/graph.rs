@@ -9,7 +9,7 @@
 use crate::condition::Condition;
 use crate::error::{ProcessError, Result};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
 /// The kind of an activity (the paper's six flow-control activities plus
 /// end-user activities).
@@ -193,7 +193,7 @@ impl ProcessGraph {
 
     /// Look up an activity by id.
     pub fn activity(&self, id: &str) -> Option<&ActivityDecl> {
-        self.index.get(id).map(|&i| &self.activities[i])
+        self.index.get(id).and_then(|&i| self.activities.get(i))
     }
 
     /// All activities, in insertion order.
@@ -290,6 +290,14 @@ impl ProcessGraph {
     /// 6. on each Choice, at most one outgoing transition may lack a
     ///    condition (the default branch), and only Choice transitions may
     ///    carry conditions.
+    ///
+    /// Degrees are checked first, then conditions, then reachability;
+    /// the first violation is returned.  The cost is O(V + E): one pass
+    /// resolves every transition to node numbers, then one forward
+    /// search from Begin and one reverse search from End decide
+    /// reachability.  Corrupt deserialized input — a transition source
+    /// naming no activity, an index entry past the activity list — is a
+    /// [`ProcessError::Structure`], never a panic.
     pub fn validate(&self) -> Result<()> {
         let begins: Vec<_> = self
             .activities
@@ -313,12 +321,13 @@ impl ProcessGraph {
                 ends.len()
             )));
         }
-        let begin_id = begins[0].id.clone();
-        let end_id = ends[0].id.clone();
+        let nodes = NodeGraph::new(self);
+        let begin = nodes.node_of[begins[0].id.as_str()];
+        let end = nodes.node_of[ends[0].id.as_str()];
 
-        for a in &self.activities {
-            let preds = self.predecessors(&a.id).len();
-            let succs = self.successors(&a.id).len();
+        for (a, &v) in self.activities.iter().zip(&nodes.activity_node) {
+            let preds = nodes.preds[v];
+            let succs = nodes.succs[v];
             let ok = match a.kind {
                 ActivityKind::Begin => preds == 0 && succs == 1,
                 ActivityKind::End => preds >= 1 && succs == 0,
@@ -334,44 +343,54 @@ impl ProcessGraph {
             }
         }
 
-        // Condition placement.
+        // Condition placement.  The source is looked up through the
+        // index, as enactment looks it up.
         for t in &self.transitions {
-            let source_kind = self.activity(&t.source).expect("endpoint checked").kind;
-            if t.condition.is_some() && source_kind != ActivityKind::Choice {
+            let source = match self.index.get(&t.source) {
+                Some(&i) => self.activities.get(i).ok_or_else(|| {
+                    ProcessError::Structure(format!(
+                        "activity `{}` is indexed at position {i} but the graph has {} activities",
+                        t.source,
+                        self.activities.len()
+                    ))
+                })?,
+                None => {
+                    return Err(ProcessError::Structure(format!(
+                        "transition `{}` references unknown activity `{}`",
+                        t.id, t.source
+                    )))
+                }
+            };
+            if t.condition.is_some() && source.kind != ActivityKind::Choice {
                 return Err(ProcessError::Structure(format!(
                     "transition `{}` carries a condition but its source `{}` is not a Choice",
                     t.id, t.source
                 )));
             }
         }
-        for a in &self.activities {
-            if a.kind == ActivityKind::Choice {
-                let defaults = self
-                    .outgoing(&a.id)
-                    .iter()
-                    .filter(|t| t.condition.is_none())
-                    .count();
-                if defaults > 1 {
-                    return Err(ProcessError::Structure(format!(
-                        "Choice `{}` has {defaults} default (unconditioned) branches",
-                        a.id
-                    )));
-                }
+        for (a, &v) in self.activities.iter().zip(&nodes.activity_node) {
+            let defaults = nodes.defaults[v];
+            if a.kind == ActivityKind::Choice && defaults > 1 {
+                return Err(ProcessError::Structure(format!(
+                    "Choice `{}` has {defaults} default (unconditioned) branches",
+                    a.id
+                )));
             }
         }
 
-        // Reachability.
-        let from_begin = self.reachable_from(&begin_id);
-        for a in &self.activities {
-            if a.id != begin_id && !from_begin.contains(&a.id) {
+        // Reachability, by paths of at least one transition.
+        let from_begin = nodes.forward.reached_from(begin);
+        for (a, &v) in self.activities.iter().zip(&nodes.activity_node) {
+            if v != begin && !from_begin[v] {
                 return Err(ProcessError::Structure(format!(
                     "activity `{}` is unreachable from Begin",
                     a.id
                 )));
             }
         }
-        for a in &self.activities {
-            if a.id != end_id && !self.reachable_from(&a.id).contains(&end_id) {
+        let to_end = nodes.reverse.reached_from(end);
+        for (a, &v) in self.activities.iter().zip(&nodes.activity_node) {
+            if v != end && !to_end[v] {
                 return Err(ProcessError::Structure(format!(
                     "End is unreachable from activity `{}`",
                     a.id
@@ -379,6 +398,118 @@ impl ProcessGraph {
             }
         }
         Ok(())
+    }
+}
+
+/// A graph's transitions resolved to dense node numbers in one pass —
+/// the working form of [`ProcessGraph::validate`].
+///
+/// A node is one distinct id: activity ids first (an id a corrupt graph
+/// repeats shares its first activity's node), then any transition
+/// endpoint that names no activity.  Counting and searching over node
+/// numbers therefore sees exactly the graph that matching transition
+/// endpoints against ids string by string sees.
+struct NodeGraph<'a> {
+    node_of: HashMap<&'a str, usize>,
+    /// The node of each activity, by position.
+    activity_node: Vec<usize>,
+    /// Transitions entering each node.
+    preds: Vec<usize>,
+    /// Transitions leaving each node.
+    succs: Vec<usize>,
+    /// Unconditioned transitions leaving each node.
+    defaults: Vec<usize>,
+    /// Source → destination adjacency.
+    forward: Adjacency,
+    /// Destination → source adjacency.
+    reverse: Adjacency,
+}
+
+impl<'a> NodeGraph<'a> {
+    fn new(graph: &'a ProcessGraph) -> Self {
+        let mut node_of: HashMap<&str, usize> = HashMap::with_capacity(graph.activities.len());
+        let activity_node: Vec<usize> = graph
+            .activities
+            .iter()
+            .enumerate()
+            .map(|(i, a)| *node_of.entry(a.id.as_str()).or_insert(i))
+            .collect();
+        let mut count = graph.activities.len();
+        let mut edges = Vec::with_capacity(graph.transitions.len());
+        for t in &graph.transitions {
+            let mut resolve = |id: &'a str| {
+                *node_of.entry(id).or_insert_with(|| {
+                    count += 1;
+                    count - 1
+                })
+            };
+            edges.push((resolve(&t.source), resolve(&t.dest)));
+        }
+        let mut preds = vec![0; count];
+        let mut succs = vec![0; count];
+        let mut defaults = vec![0; count];
+        for (t, &(s, d)) in graph.transitions.iter().zip(&edges) {
+            succs[s] += 1;
+            preds[d] += 1;
+            if t.condition.is_none() {
+                defaults[s] += 1;
+            }
+        }
+        let forward = Adjacency::new(&succs, edges.iter().copied());
+        let reverse = Adjacency::new(&preds, edges.iter().map(|&(s, d)| (d, s)));
+        NodeGraph {
+            node_of,
+            activity_node,
+            preds,
+            succs,
+            defaults,
+            forward,
+            reverse,
+        }
+    }
+}
+
+/// Adjacency lists in compressed form: the neighbours of node `v` are
+/// `targets[offsets[v]..offsets[v + 1]]`.
+struct Adjacency {
+    offsets: Vec<usize>,
+    targets: Vec<usize>,
+}
+
+impl Adjacency {
+    /// Lay out `edges`, given each node's out-degree among them.
+    fn new(degree: &[usize], edges: impl Iterator<Item = (usize, usize)>) -> Self {
+        // Each node's offset starts at the end of its range and counts
+        // down as its edges are placed.
+        let mut offsets = Vec::with_capacity(degree.len() + 1);
+        let mut total = 0;
+        for &d in degree {
+            total += d;
+            offsets.push(total);
+        }
+        offsets.push(total);
+        let mut targets = vec![0; total];
+        for (from, to) in edges {
+            offsets[from] -= 1;
+            targets[offsets[from]] = to;
+        }
+        Adjacency { offsets, targets }
+    }
+
+    /// Which nodes a path of at least one edge leads to from `start`
+    /// (`start` itself only if it lies on a cycle).
+    fn reached_from(&self, start: usize) -> Vec<bool> {
+        let mut seen = vec![false; self.offsets.len() - 1];
+        let mut stack = vec![start];
+        while let Some(v) = stack.pop() {
+            for &w in &self.targets[self.offsets[v]..self.offsets[v + 1]] {
+                if !seen[w] {
+                    seen[w] = true;
+                    stack.push(w);
+                }
+            }
+        }
+        seen
     }
 }
 
@@ -478,6 +609,79 @@ mod tests {
         g.add_transition("ORPHAN2", "ORPHAN", None).unwrap();
         let err = g.validate().unwrap_err();
         assert!(err.to_string().contains("unreachable"));
+    }
+
+    #[test]
+    fn end_unreachable_from_a_cycle_detected() {
+        // Every activity is reachable from Begin and has valid degrees,
+        // but the MERGE/X loop has no way out to End.
+        let mut g = ProcessGraph::new("trap");
+        for (id, kind) in [
+            ("BEGIN", ActivityKind::Begin),
+            ("FORK", ActivityKind::Fork),
+            ("MERGE", ActivityKind::Merge),
+            ("END", ActivityKind::End),
+        ] {
+            g.add_activity(ActivityDecl::flow(id, kind)).unwrap();
+        }
+        g.add_activity(ActivityDecl::end_user("A")).unwrap();
+        g.add_activity(ActivityDecl::end_user("X")).unwrap();
+        g.add_transition("BEGIN", "FORK", None).unwrap();
+        g.add_transition("FORK", "A", None).unwrap();
+        g.add_transition("FORK", "MERGE", None).unwrap();
+        g.add_transition("A", "END", None).unwrap();
+        g.add_transition("MERGE", "X", None).unwrap();
+        g.add_transition("X", "MERGE", None).unwrap();
+        let err = g.validate().unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "structural error: End is unreachable from activity `MERGE`"
+        );
+    }
+
+    /// `linear()` serialized, with the first `from` in its JSON text
+    /// replaced by `to` — how a corrupt checkpoint or snapshot payload
+    /// delivers a graph that the builder API could never produce.
+    fn corrupt_linear(from: &str, to: &str) -> ProcessGraph {
+        let json = serde_json::to_string(&linear()).unwrap();
+        assert!(json.contains(from), "{from} not in {json}");
+        serde_json::from_str(&json.replacen(from, to, 1)).unwrap()
+    }
+
+    #[test]
+    fn dangling_dest_fails_the_degree_check() {
+        let g = corrupt_linear(
+            r#""transitions":["#,
+            r#""transitions":[{"condition":null,"dest":"NOPE","id":"TR9","source":"A"},"#,
+        );
+        assert_eq!(
+            g.validate().unwrap_err().to_string(),
+            "structural error: activity `A` (EndUser) has 1 predecessors and 2 successors"
+        );
+    }
+
+    #[test]
+    fn dangling_source_is_an_error_not_a_panic() {
+        // END accepts any number of predecessors, so the unknown source
+        // passes the degree checks and is caught by its lookup.
+        let g = corrupt_linear(
+            r#""transitions":["#,
+            r#""transitions":[{"condition":null,"dest":"END","id":"TR9","source":"NOPE"},"#,
+        );
+        assert_eq!(
+            g.validate().unwrap_err().to_string(),
+            "structural error: transition `TR9` references unknown activity `NOPE`"
+        );
+    }
+
+    #[test]
+    fn index_past_the_activities_is_an_error_not_a_panic() {
+        let g = corrupt_linear(r#""A":1"#, r#""A":7"#);
+        assert!(g.activity("A").is_none());
+        assert_eq!(
+            g.validate().unwrap_err().to_string(),
+            "structural error: activity `A` is indexed at position 7 but the graph has 3 activities"
+        );
     }
 
     #[test]

@@ -401,12 +401,12 @@ enum ActivityOutcome {
 /// While a fiber is blocked on reserved-away capacity nothing about its
 /// own state changes — the ATN snapshot, data state, and graph are
 /// exactly as the blocking step left them.  The next step can therefore
-/// skip the graph clone, machine rebuild, finished/loop checks, and
-/// ready-set scan (they are deterministic functions of unchanged
-/// state), and — when the candidate ranking provably could not have
-/// changed — the matchmake itself.  Every observable emission is
-/// preserved: a still-blocked re-step produces exactly the one
-/// `CaseBlocked` event the full path would.
+/// skip the machine rebuild, finished/loop checks, and ready-set scan
+/// (they are deterministic functions of unchanged state), and — when
+/// the candidate ranking provably could not have changed — the
+/// matchmake itself.  Every observable emission is preserved: a
+/// still-blocked re-step produces exactly the one `CaseBlocked` event
+/// the full path would.
 struct PendingDispatch {
     /// The ready activity the blocking step chose.
     activity_id: String,
@@ -505,7 +505,9 @@ pub struct CaseFiber {
     label: String,
     planning: PlanningService,
     initial_classifications: Vec<String>,
-    current_graph: ProcessGraph,
+    /// The graph in force, shared: each step lends it to a rebuilt ATN
+    /// machine by bumping the `Arc`, and a re-plan installs a new one.
+    current_graph: Arc<ProcessGraph>,
     snapshot: Option<AtnSnapshot>,
     /// On first restore after a checkpoint resume, seed `flow_base`
     /// from the restored counts (pre-crash transitions were already
@@ -560,7 +562,7 @@ impl CaseFiber {
         Self::build(
             config,
             trace,
-            graph.clone(),
+            Arc::new(graph.clone()),
             case.into(),
             label.into(),
             None,
@@ -575,7 +577,7 @@ impl CaseFiber {
         checkpoint: EnactmentCheckpoint,
         case: impl Into<Arc<CaseDescription>>,
     ) -> Self {
-        let graph = checkpoint.graph.clone();
+        let graph = Arc::new(checkpoint.graph.clone());
         let label = graph.name.clone();
         Self::build(config, trace, graph, case.into(), label, Some(checkpoint))
     }
@@ -583,7 +585,7 @@ impl CaseFiber {
     fn build(
         config: EnactmentConfig,
         trace: TraceHandle,
-        graph: ProcessGraph,
+        graph: Arc<ProcessGraph>,
         case: Arc<CaseDescription>,
         label: String,
         resume_from: Option<EnactmentCheckpoint>,
@@ -673,7 +675,7 @@ impl CaseFiber {
     /// [`CaseFiber::from_image`] needs; a fleet's fibers share the
     /// description's `Arc`, so a capture can tell them apart by pointer.
     pub fn blueprint(&self) -> (&ProcessGraph, &Arc<CaseDescription>, &EnactmentConfig) {
-        (&self.current_graph, &self.case, &self.config)
+        (&*self.current_graph, &self.case, &self.config)
     }
 
     /// Rebuild a fiber from a captured [`FiberImage`] and its
@@ -683,7 +685,7 @@ impl CaseFiber {
     /// byte-identical to an uninterrupted one.
     pub fn from_image(
         image: FiberImage,
-        graph: ProcessGraph,
+        graph: Arc<ProcessGraph>,
         case: Arc<CaseDescription>,
         config: EnactmentConfig,
         trace: TraceHandle,
@@ -786,13 +788,13 @@ impl CaseFiber {
             return FiberStatus::Finished;
         }
         // Blocked fast path: nothing about the fiber changed since the
-        // step that blocked, so the expensive re-derivation (graph
-        // clone, machine rebuild, ready-set scan — and sometimes the
-        // matchmake) is skipped.  Emissions are identical either way.
+        // step that blocked, so the re-derivation (machine rebuild,
+        // ready-set scan — and sometimes the matchmake) is skipped.
+        // Emissions are identical either way.
         if let Some(pending) = self.pending.take() {
             return self.step_resume(world, pending);
         }
-        let graph = self.current_graph.clone();
+        let graph = Arc::clone(&self.current_graph);
         let machine = match self.snapshot.take() {
             Some(snapshot) => match AtnMachine::restore(&graph, snapshot) {
                 Ok(m) => {
@@ -933,7 +935,7 @@ impl CaseFiber {
                 self.note_blocked(world, activity_id, service, taken)
             }
             Ok(ActivityOutcome::Completed) => {
-                let graph = self.current_graph.clone();
+                let graph = Arc::clone(&self.current_graph);
                 let Some(snapshot) = self.snapshot.take() else {
                     return self.finish_aborted("blocked fiber lost its snapshot".to_string());
                 };
@@ -1051,7 +1053,7 @@ impl CaseFiber {
                     Ok(g) => {
                         // The next step builds a fresh machine over the
                         // re-planned graph.
-                        self.current_graph = g;
+                        self.current_graph = Arc::new(g);
                         self.snapshot = None;
                         FiberStatus::Progressed
                     }
@@ -1592,7 +1594,7 @@ mod tests {
         let (graph_a, case_a, config_a) = fa.blueprint();
         let mut fb = CaseFiber::from_image(
             back,
-            graph_a.clone(),
+            Arc::new(graph_a.clone()),
             case_a.clone(),
             config_a.clone(),
             TraceHandle::from(log_b.clone()),
@@ -1799,6 +1801,52 @@ mod tests {
         assert_eq!(services, vec!["prep", "cook", "plate"]);
         // And reaches the same final data state as the full run.
         assert_eq!(resumed.final_state, full.final_state);
+    }
+
+    #[test]
+    fn resume_from_a_checkpoint_with_a_corrupt_graph_aborts_instead_of_panicking() {
+        // A checkpoint whose graph index points past the activity list
+        // passes the checkpoint's own validation; restoring the ATN
+        // machine must turn the corrupt graph into an abort.
+        let config = EnactmentConfig {
+            checkpoint_every: Some(1),
+            ..EnactmentConfig::default()
+        };
+        let mut w1 = world(8);
+        let run =
+            Enactor::builder()
+                .config(config.clone())
+                .build()
+                .enact(&mut w1, &graph(), &case());
+        let checkpoint = run.checkpoints[0].clone();
+        let at = checkpoint
+            .graph
+            .activities()
+            .iter()
+            .position(|a| a.id == "cook")
+            .unwrap();
+        let json = serde_json::to_string(&checkpoint).unwrap();
+        let (head, tail) = json.split_at(json.find(r#""index":{"#).unwrap());
+        let entry = format!(r#""cook":{at}"#);
+        assert!(tail.contains(&entry));
+        let corrupt: EnactmentCheckpoint = serde_json::from_str(&format!(
+            "{head}{}",
+            tail.replacen(&entry, r#""cook":7"#, 1)
+        ))
+        .unwrap();
+        assert!(corrupt.validate().is_ok());
+
+        let mut w2 = world(8);
+        let resumed = Enactor::builder()
+            .config(config)
+            .build()
+            .resume(&mut w2, corrupt, &case());
+        assert!(!resumed.success);
+        let reason = resumed.abort_reason.unwrap();
+        assert!(
+            reason.starts_with("checkpoint restore failed: "),
+            "{reason}"
+        );
     }
 
     #[test]
